@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph, all_pairs_distances
+from .graph import MultiInstanceGraph, all_pairs_distances, distance_rows, source_blocks
 
 INF = math.inf
 
@@ -139,7 +139,7 @@ def _marg_gain_delta(g: MultiInstanceGraph, delta: np.ndarray, u: int, alpha: De
             dist[v] = d
             dv = drow[v]
             if d < dv:
-                total += fn(d) - (fn(dv) if dv <= support else 0.0)
+                total += fn(d) - (fn(dv) if dv < INF else 0.0)
                 for w_node, w in adj[v]:
                     if w_node not in dist:
                         push(heap, (d + w, w_node))
@@ -178,7 +178,7 @@ def add_seed(g: MultiInstanceGraph, residual: ResidualState, u: int, alpha: Deca
             dist[v] = d
             dv = drow[v]
             if d < dv:
-                total += fn(d) - (fn(dv) if dv <= support else 0.0)
+                total += fn(d) - (fn(dv) if dv < INF else 0.0)
                 drow[v] = d
                 for w_node, w in adj[v]:
                     if w_node not in dist:
@@ -187,27 +187,29 @@ def add_seed(g: MultiInstanceGraph, residual: ResidualState, u: int, alpha: Deca
     return total / g.ell
 
 
-def lazy_greedy(
-    g: MultiInstanceGraph,
-    alpha: DecayFunction,
-    s_max: int,
-    initial_gains: np.ndarray | None = None,
-) -> GreedyTrace:
+def _singleton_gains(g: MultiInstanceGraph, alpha: DecayFunction) -> np.ndarray:
+    """Influence of every single node, from batched distance rows block by block."""
+    gains = np.zeros(g.n)
+    for i in range(g.ell):
+        for blk in source_blocks(g.n):
+            rows = distance_rows(g, i, blk, alpha.support_bound)
+            gains[blk.start:blk.stop] += alpha.eval_array(rows).sum(axis=1)
+    return gains / g.ell
+
+
+def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> GreedyTrace:
     """Exact greedy sequence with lazy marginal re-evaluation.
 
+    The first-round singleton influences come from one batched distance pass.
     A stale top-of-queue candidate is re-evaluated and accepted only if its
     fresh marginal is at least the current queue maximum.  Ties break to the
-    lowest node index.  `initial_gains` optionally supplies the precomputed
-    first-round singleton influences.
+    lowest node index.
     """
     if s_max > g.n:
         raise ValueError("s_max exceeds node count")
     residual = ResidualState(g)
     trace = GreedyTrace()
-    if initial_gains is None:
-        heap = [(-_marg_gain_delta(g, residual.delta, u, alpha) / g.ell, u, 0) for u in range(g.n)]
-    else:
-        heap = [(-float(initial_gains[u]), u, 0) for u in range(g.n)]
+    heap = [(-gain, u, 0) for u, gain in enumerate(_singleton_gains(g, alpha).tolist())]
     heapq.heapify(heap)
     while len(trace) < s_max and heap:
         neg, u, fresh = heapq.heappop(heap)
@@ -227,7 +229,10 @@ def greedy_dense(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gre
     """Exact lazy greedy backed by all-pairs distance matrices.
 
     Equivalent to `lazy_greedy` but trades O(n^2 * ell) memory for vectorized
-    marginal evaluation; intended for baseline runs at moderate n.
+    marginal evaluation; intended for baseline runs at moderate n.  The
+    matrices come from the batched `graph.distance_rows` kernel, whose
+    transient memory beyond them is one source block of at most 2^20
+    distances plus one relaxation chunk of 2^12 edges.
     """
     if s_max > g.n:
         raise ValueError("s_max exceeds node count")

@@ -89,8 +89,12 @@ class Instance:
     __slots__ = ("n", "tails", "heads", "weights", "adj", "_radj")
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray):
-        if len(weights) and weights.min() <= 0:
-            raise ValueError("edge lengths must be positive")
+        if not len(tails) == len(heads) == len(weights):
+            raise ValueError("tails, heads and lengths must have one entry per edge")
+        if len(tails) and (min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= n):
+            raise ValueError(f"edge endpoints must be node ids in [0, {n})")
+        if not (weights > 0).all():
+            raise ValueError("edge lengths must be positive (NaN is rejected)")
         self.n = n
         self.tails = tails
         self.heads = heads
@@ -331,28 +335,95 @@ class DijkstraCursor:
             yield self.settle_next()
 
 
-def all_pairs_distances(g: MultiInstanceGraph, limit: float = INF) -> list[np.ndarray]:
-    """Per-instance (n, n) distance matrices; entries beyond limit stay inf."""
-    out = []
+# Memory bounds of the batched distance kernel: a block of source rows holds
+# at most _BLOCK_CELLS distances (int32 flat indices stay valid), and one
+# relaxation chunk scans at most _CHUNK_RELAX edges, a few dozen bytes of
+# transient arrays each.
+_BLOCK_CELLS = 1 << 20
+_CHUNK_RELAX = 1 << 12
+
+
+def source_blocks(n: int) -> Iterator[range]:
+    """Consecutive ranges of source nodes whose distance rows fit one block."""
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        yield range(lo, min(lo + step, n))
+
+
+def distance_rows(g: MultiInstanceGraph, instance: int, sources: Sequence[int], limit: float = INF) -> np.ndarray:
+    """(len(sources), n) distances from each source; entries beyond limit stay inf.
+
+    All sources advance together by label-correcting rounds over a forward CSR
+    of the instance: each round relaxes the out-edges of the (source, node)
+    pairs that improved in the previous round.  Lengths are positive, so float
+    addition is monotone and the fixpoint is the minimum left-folded path sum,
+    bit for bit the distance a Dijkstra search computes.  Transient memory is
+    O(len(sources) * n + _CHUNK_RELAX); `source_blocks` sizes the blocks.
+    """
     n = g.n
-    for inst in g.instances:
-        adj = inst.adj
-        mat = np.full((n, n), INF)
-        for src in range(n):
-            row = mat[src]
-            dist: dict[int, float] = {}
-            heap = [(0.0, src)]
-            push, pop = heapq.heappush, heapq.heappop
-            while heap:
-                d, u = pop(heap)
-                if u in dist:
-                    continue
-                if d > limit:
-                    break
-                dist[u] = d
-                row[u] = d
-                for v, w in adj[u]:
-                    if v not in dist:
-                        push(heap, (d + w, v))
+    src = np.asarray(sources, dtype=np.int64)
+    if src.size and (src.min() < 0 or src.max() >= n):
+        raise ValueError("source out of range")
+    cells = src.size * n
+    if cells > np.iinfo(np.int32).max:
+        raise ValueError("too many sources for one block; split them with source_blocks")
+    # Unreached cells start just above limit, so "cand < dist" also enforces
+    # cand <= limit; they are reset to inf at the end.
+    dist = np.full(cells, np.nextafter(limit, INF))
+    if not cells:
+        return dist.reshape(src.size, n)
+    inst = g.instances[instance]
+    order = np.argsort(inst.tails)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(inst.tails, minlength=n), out=indptr[1:])
+    heads = inst.heads[order].astype(np.int32)
+    weights = inst.weights[order]
+    improved = np.zeros(cells, dtype=bool)
+    # flat index of pair (row r, node v) is r * n + v
+    front = np.arange(0, cells, n, dtype=np.int32) + src.astype(np.int32)
+    dist[front] = 0.0
+    while front.size:
+        node = front % n
+        row_base = front - node
+        deg = indptr[node + 1] - indptr[node]
+        ends = np.cumsum(deg)
+        starts = ends - deg
+        shift = indptr[node] - starts  # relaxation j of pair p scans edge j + shift[p]
+        base = dist[front]
+        total = int(ends[-1])
+        for lo in range(0, total, _CHUNK_RELAX):
+            hi = min(lo + _CHUNK_RELAX, total)
+            p0 = np.searchsorted(ends, lo, side="right")
+            p1 = np.searchsorted(ends, hi - 1, side="right") + 1
+            p = np.repeat(np.arange(p0, p1), np.minimum(ends[p0:p1], hi) - np.maximum(starts[p0:p1], lo))
+            edge = shift[p]
+            edge += np.arange(lo, hi)
+            cand = base[p]
+            cand += weights[edge]
+            tgt = heads[edge]
+            tgt += row_base[p]
+            keep = cand < dist[tgt]
+            tgt, cand = tgt[keep], cand[keep]
+            np.minimum.at(dist, tgt, cand)
+            improved[tgt] = True
+        front = np.flatnonzero(improved).astype(np.int32)
+        improved[front] = False
+    dist[dist > limit] = INF
+    return dist.reshape(src.size, n)
+
+
+def all_pairs_distances(g: MultiInstanceGraph, limit: float = INF) -> list[np.ndarray]:
+    """Per-instance (n, n) distance matrices; entries beyond limit stay inf.
+
+    Rows come from the batched `distance_rows` kernel, one source block at a
+    time.  Beyond the n^2 * ell output, transient memory is bounded by one
+    block of at most _BLOCK_CELLS (2^20) distances and one relaxation chunk
+    of _CHUNK_RELAX (2^12) edges.
+    """
+    out = []
+    for i in range(g.ell):
+        mat = np.empty((g.n, g.n))
+        for blk in source_blocks(g.n):
+            mat[blk.start:blk.stop] = distance_rows(g, i, blk, limit)
         out.append(mat)
     return out

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from distinf.cli import main
@@ -196,4 +197,12 @@ def test_validation_error_exit_code(tmp_path):
     p.write_text("0 1 -2\n")
     rc = main(["greedy", "exact", "--edges", str(p), "--weighted", "--model", "unit",
                "--ell", "1", "--decay", "harmonic:1", "--seeds", "1"])
+    assert rc == 2
+
+
+def test_bad_npz_is_validation_error(tmp_path):
+    p = str(tmp_path / "bad.npz")
+    np.savez(p, n=np.int64(3), tails=np.array([0, 1]), heads=np.array([1, -1]),
+             weights=np.ones((1, 2)), labels=np.array(["a", "b", "c"]))
+    rc = main(["greedy", "exact", "--graph", p, "--decay", "harmonic:1", "--seeds", "1"])
     assert rc == 2

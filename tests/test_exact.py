@@ -11,12 +11,14 @@ from distinf import (
     greedy_dense,
     influence_exact,
     lazy_greedy,
+    make_exponential,
     make_harmonic,
     make_threshold,
     marg_gain,
 )
+from distinf.exact import _marg_gain_delta, _singleton_gains
 
-from bruteforce import influence_bf, marg_gain_bf, random_graph, residual_delta_bf
+from bruteforce import influence_bf, marg_gain_bf, random_graph, residual_delta_bf, skewed_graph
 
 INF = math.inf
 
@@ -157,6 +159,15 @@ def test_greedy_dense_matches_lazy_greedy():
             b = greedy_dense(g, alpha, 10)
             assert a.seeds() == b.seeds()
             assert a.marginals() == pytest.approx(b.marginals(), abs=1e-9)
+
+
+def test_singleton_gains_match_per_node_search():
+    for seed in range(3):
+        for g in (random_graph(40, 3, seed=seed, ell=3), skewed_graph(40, 3, seed, 3)):
+            delta = np.full((g.ell, g.n), INF)
+            for alpha in (make_harmonic(3), make_threshold(1.0), make_exponential(2)):
+                want = [_marg_gain_delta(g, delta, u, alpha) / g.ell for u in range(g.n)]
+                np.testing.assert_allclose(_singleton_gains(g, alpha), want, rtol=1e-12, atol=0)
 
 
 def test_greedy_first_marginal_is_best_singleton():

@@ -8,14 +8,16 @@ from distinf import (
     EdgeLengthModel,
     GraphFormatError,
     MultiInstanceGraph,
+    all_pairs_distances,
     forward_dijkstra,
+    graph,
     load_edge_list,
     load_npz,
     sample_instances,
     save_npz,
 )
 
-from bruteforce import bf_distances, instance_edges, random_graph
+from bruteforce import bf_all_pairs, bf_distances, instance_edges, random_graph, skewed_graph
 
 INF = math.inf
 
@@ -74,6 +76,16 @@ def test_npz_roundtrip(tmp_path):
     for a, b in zip(g.instances, h.instances):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.tails, b.tails)
+
+
+@pytest.mark.parametrize(
+    "tails, heads, lengths",
+    [([0, 1], [1, -1], [1.0, 1.0]), ([0, 1], [1, 5], [1.0, 1.0]), ([0, 1], [1, 2], [1.0, math.nan])],
+    ids=["negative-head", "head-past-n", "nan-length"],
+)
+def test_instance_rejects_bad_edges(tails, heads, lengths):
+    with pytest.raises(ValueError):
+        MultiInstanceGraph.from_arrays(3, tails, heads, [lengths])
 
 
 # ------------------------------------------------------------- sampling
@@ -159,6 +171,40 @@ def test_forward_dijkstra_matches_bellman_ford():
                 want = bf_distances(edges, g.n, [src])
                 for v in range(g.n):
                     assert got.get(v, INF) == pytest.approx(want[v], abs=1e-12)
+
+
+def _graphs_with_sinks():
+    for seed in range(4):
+        yield random_graph(30, 1.5, seed=seed, ell=2)
+        yield random_graph(30, 1.5, seed=seed, model=EdgeLengthModel.unit())  # distances equal to limit
+        yield skewed_graph(30, 2, seed, 2)
+
+
+@pytest.mark.parametrize("limit", [INF, 1.0, 2.0])
+def test_distance_rows_match_bellman_ford(limit):
+    sinks = 0
+    for g in _graphs_with_sinks():
+        sinks += sum(int((np.bincount(inst.tails, minlength=g.n) == 0).sum()) for inst in g.instances)
+        for got, ref in zip(all_pairs_distances(g, limit), bf_all_pairs(g)):
+            assert np.array_equal(got, np.where(ref <= limit, ref, INF))
+    assert sinks > 0
+
+
+def test_distance_rows_blocks_and_chunks(monkeypatch):
+    g = skewed_graph(40, 3, 7, 2)
+    ref = bf_all_pairs(g)
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 3 * g.n)
+    monkeypatch.setattr(graph, "_CHUNK_RELAX", 5)
+    assert len(list(graph.source_blocks(g.n))) == 14
+    for got, want in zip(all_pairs_distances(g), ref):
+        assert np.array_equal(got, want)
+    rows = graph.distance_rows(g, 1, [39, 0, 39])
+    assert np.array_equal(rows, ref[1][[39, 0, 39]])
+
+
+def test_distance_rows_rejects_bad_source():
+    with pytest.raises(ValueError):
+        graph.distance_rows(line_graph(), 0, [3])
 
 
 # ------------------------------------------------------------- cursor
