@@ -60,10 +60,7 @@ def _write_trace(trace: exact.GreedyTrace, args, g: MultiInstanceGraph) -> None:
     if args.out:
         trace.to_csv(args.out)
     else:
-        sys.stdout.write("rank,seed,exact_marginal,estimated_marginal\n")
-        for rank, e in enumerate(trace.entries, start=1):
-            est = "" if e.estimated_marginal is None else repr(e.estimated_marginal)
-            sys.stdout.write(f"{rank},{e.seed},{e.exact_marginal!r},{est}\n")
+        trace.write_csv(sys.stdout)
     if getattr(args, "metrics", None):
         with open(args.metrics, "w") as fh:
             json.dump(trace.metadata, fh, indent=2)
@@ -101,6 +98,9 @@ def cmd_oracle_query(args) -> int:
             tok = line.strip()
             if tok:
                 seeds.append(int(tok))
+    for s in seeds:
+        if not (0 <= s < first.n):
+            raise ValueError(f"seed {s} out of range [0, {first.n})")
     alpha = parse_decay(args.decay)
     if isinstance(first, sketch.ThresholdSketch):
         if alpha.name != f"threshold:{first.T:g}":

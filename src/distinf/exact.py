@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -61,11 +62,15 @@ class GreedyTrace:
 
     def to_csv(self, path: str, labels: list[str] | None = None) -> None:
         with open(path, "w") as fh:
-            fh.write("rank,seed,exact_marginal,estimated_marginal\n")
-            for rank, e in enumerate(self.entries, start=1):
-                seed = labels[e.seed] if labels is not None else e.seed
-                est = "" if e.estimated_marginal is None else repr(e.estimated_marginal)
-                fh.write(f"{rank},{seed},{e.exact_marginal!r},{est}\n")
+            self.write_csv(fh, labels)
+
+    def write_csv(self, fh: TextIO, labels: list[str] | None = None) -> None:
+        """Write the trace as CSV rows to an open text file."""
+        fh.write("rank,seed,exact_marginal,estimated_marginal\n")
+        for rank, e in enumerate(self.entries, start=1):
+            seed = labels[e.seed] if labels is not None else e.seed
+            est = "" if e.estimated_marginal is None else repr(e.estimated_marginal)
+            fh.write(f"{rank},{seed},{e.exact_marginal!r},{est}\n")
 
 
 class ResidualState:
@@ -260,11 +265,25 @@ def greedy_dense(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gre
 
 
 def evaluate_prefixes(g: MultiInstanceGraph, seeds, alpha: DecayFunction) -> list[float]:
-    """Exact influence of every prefix of a seed list, via incremental residual updates."""
+    """Exact influence of every prefix of a seed list.
+
+    Each seed updates the residual distances of all instances in one batched
+    `distance_rows` call per block of instances, started from the current
+    residual; the prefix influence grows by the decayed improvement of the
+    pairs that changed.
+    """
     seeds = _check_seed_set(g, seeds)
-    residual = ResidualState(g)
+    delta = np.full((g.ell, g.n), INF)
+    blocks = list(source_blocks(g.n, g.ell))
     out, tot = [], 0.0
     for s in seeds:
-        tot += add_seed(g, residual, s, alpha)
+        gain = 0.0
+        for blk in blocks:
+            old = delta[blk.start:blk.stop]
+            new = distance_rows(g, blk, s, alpha.support_bound, start=old)
+            changed = new < old
+            gain += float((alpha.eval_array(new[changed]) - alpha.eval_array(old[changed])).sum())
+            old[...] = new
+        tot += gain / g.ell
         out.append(tot)
     return out

@@ -86,7 +86,7 @@ class EdgeLengthModel:
 class Instance:
     """One weighted directed instance over nodes [0, n)."""
 
-    __slots__ = ("n", "tails", "heads", "weights", "adj", "_radj")
+    __slots__ = ("n", "tails", "heads", "weights", "_adj", "_radj")
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray):
         if not len(tails) == len(heads) == len(weights):
@@ -99,21 +99,29 @@ class Instance:
         self.tails = tails
         self.heads = heads
         self.weights = weights
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for t, h, w in zip(tails.tolist(), heads.tolist(), weights.tolist()):
-            adj[t].append((h, w))
-        self.adj = adj
+        self._adj = None
         self._radj = None
+
+    @property
+    def adj(self) -> list[list[tuple[int, float]]]:
+        """Forward adjacency lists of (head, length), built on first use."""
+        if self._adj is None:
+            self._adj = _adjacency(self.n, self.tails, self.heads, self.weights)
+        return self._adj
 
     @property
     def radj(self) -> list[list[tuple[int, float]]]:
         """Transpose adjacency, built on first use."""
         if self._radj is None:
-            radj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for t, h, w in zip(self.tails.tolist(), self.heads.tolist(), self.weights.tolist()):
-                radj[h].append((t, w))
-            self._radj = radj
+            self._radj = _adjacency(self.n, self.heads, self.tails, self.weights)
         return self._radj
+
+
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> list[list[tuple[int, float]]]:
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for s, d, w in zip(src.tolist(), dst.tolist(), weights.tolist()):
+        adj[s].append((d, w))
+    return adj
 
 
 class MultiInstanceGraph:
@@ -126,10 +134,34 @@ class MultiInstanceGraph:
         self.instances = list(instances)
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def ell(self) -> int:
         return len(self.instances)
+
+    def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, heads, weights) of every instance's out-edges, keyed by
+        instance * n + tail; built on first use and kept, as graphs are immutable.
+
+        Instances that share their tail array (all sampled instances do) share
+        one sort of it.
+        """
+        if self._csr is None:
+            counts, heads, weights = [], [], []
+            tails = order = count = None
+            for inst in self.instances:
+                if inst.tails is not tails:
+                    tails = inst.tails
+                    order = np.argsort(tails, kind="stable")
+                    count = np.bincount(tails, minlength=self.n)
+                counts.append(count)
+                heads.append(inst.heads[order].astype(np.int32))
+                weights.append(inst.weights[order])
+            indptr = np.zeros(self.ell * self.n + 1, dtype=np.int64)
+            np.cumsum(np.concatenate(counts), out=indptr[1:])
+            self._csr = (indptr, np.concatenate(heads), np.concatenate(weights))
+        return self._csr
 
     def node_of_label(self, label: str) -> int:
         try:
@@ -278,18 +310,21 @@ class DijkstraCursor:
     Runs on the transpose of the pair's instance, so settled distances are
     distances *to* the source in the original graph.  `mu` is the smallest
     unsettled tentative distance (0 initially, inf once exhausted); resuming
-    continues exactly where the previous resume paused.
+    continues exactly where the previous resume paused.  With a finite
+    `limit` the search never pushes a node beyond it, so it settles exactly
+    the nodes within limit and is exhausted after them.
     """
 
-    __slots__ = ("source", "_radj", "_dist", "_heap")
+    __slots__ = ("source", "_radj", "_dist", "_heap", "_limit")
 
-    def __init__(self, g: MultiInstanceGraph, instance: int, source: int):
+    def __init__(self, g: MultiInstanceGraph, instance: int, source: int, limit: float = INF):
         if not (0 <= source < g.n):
             raise ValueError(f"source {source} out of range")
         self.source = (source, instance)
         self._radj = g.instances[instance].radj
         self._dist: dict[int, float] = {}
         self._heap: list[tuple[float, int]] = [(0.0, source)]
+        self._limit = limit
 
     def peek(self) -> float | None:
         """Next settle distance, or None when the search is exhausted."""
@@ -315,10 +350,12 @@ class DijkstraCursor:
         _, u = heapq.heappop(self._heap)
         dist = self._dist
         dist[u] = d
-        push = heapq.heappush
+        push, heap, limit = heapq.heappush, self._heap, self._limit
         for v, w in self._radj[u]:
             if v not in dist:
-                push(self._heap, (d + w, v))
+                dv = d + w
+                if dv <= limit:
+                    push(heap, (dv, v))
         return u, d
 
     def resume(self, stop: Callable[[float], bool] | None = None) -> Iterator[tuple[int, float]]:
@@ -335,60 +372,88 @@ class DijkstraCursor:
             yield self.settle_next()
 
 
-# Memory bounds of the batched distance kernel: a block of source rows holds
-# at most _BLOCK_CELLS distances (int32 flat indices stay valid), and one
-# relaxation chunk scans at most _CHUNK_RELAX edges, a few dozen bytes of
-# transient arrays each.
+# Memory bounds of the batched distance kernel: a block of rows holds at most
+# _BLOCK_CELLS distances (int32 flat indices stay valid), and one relaxation
+# chunk scans at most _CHUNK_RELAX edges, a few dozen bytes of transient
+# arrays each.
 _BLOCK_CELLS = 1 << 20
 _CHUNK_RELAX = 1 << 12
 
 
-def source_blocks(n: int) -> Iterator[range]:
-    """Consecutive ranges of source nodes whose distance rows fit one block."""
+def source_blocks(n: int, count: int | None = None) -> Iterator[range]:
+    """Consecutive ranges over count rows (default n) of n distances each,
+    every range small enough for one kernel block."""
+    count = n if count is None else count
     step = max(1, _BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        yield range(lo, min(lo + step, n))
+    for lo in range(0, count, step):
+        yield range(lo, min(lo + step, count))
 
 
-def distance_rows(g: MultiInstanceGraph, instance: int, sources: Sequence[int], limit: float = INF) -> np.ndarray:
-    """(len(sources), n) distances from each source; entries beyond limit stay inf.
+def distance_rows(
+    g: MultiInstanceGraph,
+    instances: int | Sequence[int],
+    sources: int | Sequence[int],
+    limit: float = INF,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """(rows, n) distances of (instance, source) pairs; entries beyond limit are inf.
 
-    All sources advance together by label-correcting rounds over a forward CSR
-    of the instance: each round relaxes the out-edges of the (source, node)
-    pairs that improved in the previous round.  Lengths are positive, so float
-    addition is monotone and the fixpoint is the minimum left-folded path sum,
-    bit for bit the distance a Dijkstra search computes.  Transient memory is
-    O(len(sources) * n + _CHUNK_RELAX); `source_blocks` sizes the blocks.
+    Row r holds the distances from sources[r] in instances[r]; a scalar
+    instance or source applies to every row.  A (rows, n) `start` gives each
+    cell a starting distance, and the search relaxes only from cells it
+    improves.  When start[r] is itself a row of distances from a seed set
+    within limit (a residual), row r comes back as min(start[r], distances
+    from the source): the residual after adding the source as a seed.
+
+    All rows advance together by label-correcting rounds over the graph's
+    cached forward CSR: each round relaxes the out-edges of the (row, node)
+    pairs that improved in the previous round.  Lengths are positive, so
+    float addition is monotone and the fixpoint is the minimum left-folded
+    path sum, bit for bit what a Dijkstra search (pruned where it does not
+    improve `start`) computes.  Transient memory is O(rows * n +
+    _CHUNK_RELAX); `source_blocks` sizes the blocks.
     """
     n = g.n
-    src = np.asarray(sources, dtype=np.int64)
+    src, inst = np.broadcast_arrays(np.asarray(sources, dtype=np.int64), np.asarray(instances, dtype=np.int64))
+    if src.ndim != 1:
+        raise ValueError("instances and sources must be scalars or one entry per row")
     if src.size and (src.min() < 0 or src.max() >= n):
         raise ValueError("source out of range")
-    cells = src.size * n
+    if inst.size and (inst.min() < 0 or inst.max() >= g.ell):
+        raise ValueError("instance out of range")
+    rows = src.size
+    cells = rows * n
     if cells > np.iinfo(np.int32).max:
-        raise ValueError("too many sources for one block; split them with source_blocks")
+        raise ValueError("too many rows for one block; split them with source_blocks")
     # Unreached cells start just above limit, so "cand < dist" also enforces
     # cand <= limit; they are reset to inf at the end.
-    dist = np.full(cells, np.nextafter(limit, INF))
+    ceiling = np.nextafter(limit, INF)
+    if start is None:
+        dist = np.full(cells, ceiling)
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (rows, n):
+            raise ValueError(f"start must have shape ({rows}, {n})")
+        dist = np.minimum(start.reshape(cells), ceiling)
     if not cells:
-        return dist.reshape(src.size, n)
-    inst = g.instances[instance]
-    order = np.argsort(inst.tails)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(inst.tails, minlength=n), out=indptr[1:])
-    heads = inst.heads[order].astype(np.int32)
-    weights = inst.weights[order]
+        return dist.reshape(rows, n)
+    indptr, heads, weights = g.forward_csr()
     improved = np.zeros(cells, dtype=bool)
-    # flat index of pair (row r, node v) is r * n + v
+    # flat index of pair (row r, node v) is r * n + v; its out-edges are CSR
+    # entry inst[r] * n + v
     front = np.arange(0, cells, n, dtype=np.int32) + src.astype(np.int32)
+    front = front[dist[front] > 0.0]
     dist[front] = 0.0
+    key_base = inst * n
     while front.size:
-        node = front % n
-        row_base = front - node
-        deg = indptr[node + 1] - indptr[node]
+        row = front // n
+        row_base = row * n
+        key = front - row_base + key_base[row]
+        first = indptr[key]
+        deg = indptr[key + 1] - first
         ends = np.cumsum(deg)
         starts = ends - deg
-        shift = indptr[node] - starts  # relaxation j of pair p scans edge j + shift[p]
+        shift = first - starts  # relaxation j of pair p scans edge j + shift[p]
         base = dist[front]
         total = int(ends[-1])
         for lo in range(0, total, _CHUNK_RELAX):
@@ -409,7 +474,7 @@ def distance_rows(g: MultiInstanceGraph, instance: int, sources: Sequence[int], 
         front = np.flatnonzero(improved).astype(np.int32)
         improved[front] = False
     dist[dist > limit] = INF
-    return dist.reshape(src.size, n)
+    return dist.reshape(rows, n)
 
 
 def all_pairs_distances(g: MultiInstanceGraph, limit: float = INF) -> list[np.ndarray]:

@@ -427,35 +427,50 @@ def save_sketches(
 
 
 def load_sketches(path: str):
-    """Read a sketch file back; returns (sketches, ranks, seed)."""
+    """Read a sketch file back; returns (sketches, ranks, seed).
+
+    A truncated or otherwise malformed file raises ValueError.
+    """
     with open(path, "rb") as fh:
-        magic, kind, model_code, n, ell, k, seed, T = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a sketch file")
-        model = _MODEL_NAME[model_code]
-        if model == "uniform":
-            ranks = uniform_ranks(n, ell, seed)
-        elif kind == _KIND_CADS:
-            ranks = assign_ranks(n, ell, k, seed)
-        else:
-            ranks = structured_ranks(n, ell, ell, seed)
-        if kind == _KIND_CADS:
-            pair_of = ranks.pair_of_rank()
-            rec = struct.Struct("<Qd")
-            sketches: list = []
-            for _ in range(n):
-                (count,) = struct.unpack("<I", fh.read(4))
-                entries: list[Entry] = []
-                for _ in range(count):
-                    r, d = rec.unpack(fh.read(rec.size))
-                    v, i = pair_of[r]
-                    entries.append((r, d, v, i))
-                sketches.append(CADS(entries, k, n, ell, ranks.norm))
-            return sketches, ranks, seed
-        rec = struct.Struct("<Q")
-        tsketches: list = []
+        try:
+            return _read_sketches(fh, path)
+        except struct.error:  # a read came back short
+            raise ValueError(f"{path}: truncated sketch file") from None
+
+
+def _read_sketches(fh, path: str):
+    magic, kind, model_code, n, ell, k, seed, T = _HEADER.unpack(fh.read(_HEADER.size))
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not a sketch file")
+    if kind not in (_KIND_CADS, _KIND_THRESHOLD) or model_code not in _MODEL_NAME:
+        raise ValueError(f"{path}: unknown sketch kind or rank model")
+    model = _MODEL_NAME[model_code]
+    if model == "uniform":
+        ranks = uniform_ranks(n, ell, seed)
+    elif kind == _KIND_CADS:
+        ranks = assign_ranks(n, ell, k, seed)
+    else:
+        ranks = structured_ranks(n, ell, ell, seed)
+    if kind == _KIND_CADS:
+        pair_of = ranks.pair_of_rank()
+        rec = struct.Struct("<Qd")
+        sketches: list = []
         for _ in range(n):
             (count,) = struct.unpack("<I", fh.read(4))
-            rs = [rec.unpack(fh.read(rec.size))[0] for _ in range(count)]
-            tsketches.append(ThresholdSketch(rs, k, n, ell, T, ranks.norm))
-        return tsketches, ranks, seed
+            entries: list[Entry] = []
+            for _ in range(count):
+                r, d = rec.unpack(fh.read(rec.size))
+                try:
+                    v, i = pair_of[r]
+                except KeyError:
+                    raise ValueError(f"{path}: rank {r} belongs to no node-instance pair") from None
+                entries.append((r, d, v, i))
+            sketches.append(CADS(entries, k, n, ell, ranks.norm))
+        return sketches, ranks, seed
+    rec = struct.Struct("<Q")
+    tsketches: list = []
+    for _ in range(n):
+        (count,) = struct.unpack("<I", fh.read(4))
+        rs = [rec.unpack(fh.read(rec.size))[0] for _ in range(count)]
+        tsketches.append(ThresholdSketch(rs, k, n, ell, T, ranks.norm))
+    return tsketches, ranks, seed

@@ -65,7 +65,7 @@ class ThresholdState:
                 self.next_idx += 1
                 if self.covered[i, v] <= T:
                     continue  # covered pairs contribute to no sketch
-                self.active = ((v, i), DijkstraCursor(g, i, v))
+                self.active = ((v, i), DijkstraCursor(g, i, v, T))
                 self._active_rank = r
             (v, i), cursor = self.active
             if self.covered[i, v] <= T:
@@ -74,7 +74,7 @@ class ThresholdState:
             contrib = self.contributors.setdefault((v, i), [])
             while True:
                 d = cursor.peek()
-                if d is None or d > T:
+                if d is None:
                     self.active = None
                     break
                 u, _ = cursor.settle_next()

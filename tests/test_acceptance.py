@@ -102,6 +102,7 @@ def test_c2_greedy_quality_threshold():
            f"passes={passes}/10 worst_ratio={worst:.4f} elapsed={elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c3_greedy_quality_smooth_decay():
     """General-decay greedy with k=64 reaches >= 0.97x the exact prefix
     influence for s <= 20 in at least 9 of 10 trials per decay; under 5 min."""
@@ -127,6 +128,7 @@ def test_c3_greedy_quality_smooth_decay():
            + f" elapsed={elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c4_oracle_estimator_concentration():
     """Single-seed sketch estimate: CV <= 0.12 and mean within 3 standard
     errors over 500 rank draws; threshold union estimator CV <= 1.3/sqrt(k-2)."""
@@ -159,6 +161,7 @@ def test_c4_oracle_estimator_concentration():
            f"(bound {1.3 / math.sqrt(k - 2):.4f}) bias={ubias_se:.2f}se")
 
 
+@pytest.mark.slow
 def test_c5_sketch_size_bound():
     """Mean combined-sketch size within 1.2x of k*ln(n*min(k, ell))."""
     n, ell, k = 1000, 8, 16

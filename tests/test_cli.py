@@ -117,6 +117,46 @@ def test_oracle_threshold_requires_matching_decay(edges_file, tmp_path, capsys):
                  "--decay", "threshold:0.5"]) == 0
 
 
+@pytest.mark.parametrize("threshold", [False, True])
+def test_oracle_query_rejects_out_of_range_seed(edges_file, tmp_path, capsys, threshold):
+    sk = str(tmp_path / "sk.bin")
+    kind = ["--threshold", "0.5"] if threshold else ["--decay-agnostic"]
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                 "--ell", "2", "--seed", "2", "--k", "8", *kind, "--out", sk]) == 0
+    decay = "threshold:0.5" if threshold else "exp:1"
+    for bad in ("-1", "12"):
+        seeds_file = tmp_path / "seeds.txt"
+        seeds_file.write_text(f"0\n{bad}\n")
+        capsys.readouterr()
+        assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file),
+                     "--decay", decay]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+
+def test_truncated_sketch_file_exits_2(edges_file, tmp_path, capsys):
+    sk = tmp_path / "sk.bin"
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                 "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(sk.read_bytes()[:60])
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("0\n")
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", str(cut), "--seeds-file", str(seeds_file),
+                 "--decay", "exp:1"]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_trace_stdout_matches_out_file(edges_file, tmp_path, capsys):
+    argv = ["im", "threshold", "--edges", edges_file, "--model", "exp:1", "--ell", "4",
+            "--seed", "7", "--T", "1.0", "--k", "8", "--seeds", "5"]
+    out = tmp_path / "trace.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_eval_unit_model_line_graph(line_edges, tmp_path):
     seeds_file = tmp_path / "seeds.txt"
     seeds_file.write_text("0\n")

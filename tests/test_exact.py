@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distinf import (
+    EdgeLengthModel,
     MultiInstanceGraph,
     ResidualState,
     add_seed,
@@ -15,7 +18,10 @@ from distinf import (
     make_harmonic,
     make_threshold,
     marg_gain,
+    sample_instances,
+    truncate,
 )
+from distinf import graph
 from distinf.exact import _marg_gain_delta, _singleton_gains
 
 from bruteforce import influence_bf, marg_gain_bf, random_graph, residual_delta_bf, skewed_graph
@@ -185,6 +191,88 @@ def test_evaluate_prefixes_matches_exact():
     got = evaluate_prefixes(g, seeds, alpha)
     want = [influence_exact(g, seeds[: s + 1], alpha) for s in range(3)]
     assert got == pytest.approx(want, abs=1e-9)
+
+
+DECAYS = {
+    "threshold": make_threshold(1.0),
+    "exp": make_exponential(1.5),
+    "harmonic": make_harmonic(2.0),
+    "truncated": truncate(make_exponential(1.0), 0.2),
+}
+
+
+@st.composite
+def prefix_cases(draw):
+    """Small graphs with sinks, unit (tied) or random lengths, and a seed list."""
+    n = draw(st.integers(1, 10))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    ell = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        weights = np.ones((ell, len(edges)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
+    g = MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
+    seeds = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return g, seeds, draw(st.sampled_from(sorted(DECAYS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cases())
+def test_evaluate_prefixes_matches_bruteforce(case):
+    g, seeds, name = case
+    alpha = DECAYS[name]
+    got = evaluate_prefixes(g, seeds, alpha)
+    assert len(got) == len(seeds)
+    for s, value in enumerate(got, start=1):
+        assert value == pytest.approx(influence_bf(g, seeds[:s], alpha), rel=1e-9, abs=1e-12)
+
+
+def _kernel_residual(g, seeds, alpha):
+    delta = np.full((g.ell, g.n), INF)
+    for s in seeds:
+        delta = graph.distance_rows(g, range(g.ell), s, alpha.support_bound, start=delta)
+    return delta
+
+
+def test_kernel_residual_equals_add_seed_delta():
+    for seed in range(4):
+        for g in (random_graph(40, 2, seed=seed, ell=3), skewed_graph(40, 3, seed, 2),
+                  random_graph(30, 1.5, seed=seed, ell=2, model=EdgeLengthModel.unit())):
+            seeds = np.random.default_rng(seed).permutation(g.n)[:12].tolist()
+            for alpha in (make_threshold(1.0), make_harmonic(2), truncate(make_exponential(1), 0.3)):
+                residual = ResidualState(g)
+                for s in seeds:
+                    add_seed(g, residual, s, alpha)
+                assert np.array_equal(_kernel_residual(g, seeds, alpha), residual.delta)
+
+
+def test_evaluate_prefixes_split_into_instance_blocks(monkeypatch):
+    g = random_graph(30, 3, seed=4, ell=7)
+    seeds = [5, 11, 2, 29, 17]
+    whole = {name: evaluate_prefixes(g, seeds, alpha) for name, alpha in DECAYS.items()}
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 2 * g.n)
+    assert len(list(graph.source_blocks(g.n, g.ell))) == 4
+    for name, alpha in DECAYS.items():
+        split = evaluate_prefixes(g, seeds, alpha)
+        if name == "threshold":
+            assert split == whole[name]
+        else:
+            assert split == pytest.approx(whole[name], rel=1e-12)
+
+
+def test_evaluate_prefixes_returns_python_floats():
+    g = random_graph(20, 3, seed=1, ell=2)
+    for alpha in DECAYS.values():
+        assert all(type(x) is float for x in evaluate_prefixes(g, [0, 3, 7], alpha))
+
+
+def test_evaluate_prefixes_builds_no_adjacency_lists():
+    base = random_graph(30, 3, seed=2, ell=1)
+    g = sample_instances(base, EdgeLengthModel.exponential(1.0, seed=3), 4)
+    evaluate_prefixes(g, [1, 2, 3], make_harmonic(1))
+    assert all(inst._adj is None and inst._radj is None for inst in g.instances)
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -205,6 +205,39 @@ def test_distance_rows_blocks_and_chunks(monkeypatch):
 def test_distance_rows_rejects_bad_source():
     with pytest.raises(ValueError):
         graph.distance_rows(line_graph(), 0, [3])
+    with pytest.raises(ValueError):
+        graph.distance_rows(line_graph(), 1, [0])
+    with pytest.raises(ValueError):
+        graph.distance_rows(line_graph(), 0, [0], start=np.zeros((2, 3)))
+
+
+def test_distance_rows_mixed_instance_rows():
+    g = skewed_graph(30, 2, 3, 3)
+    ref = bf_all_pairs(g)
+    rng = np.random.default_rng(0)
+    inst, src = rng.integers(0, g.ell, 50), rng.integers(0, g.n, 50)
+    rows = graph.distance_rows(g, inst, src)
+    assert np.array_equal(rows, np.array([ref[i][s] for i, s in zip(inst, src)]))
+
+
+def test_distance_rows_instances_with_own_topologies():
+    a, b = random_graph(25, 2, seed=1), random_graph(25, 3, seed=2, ell=2)
+    g = MultiInstanceGraph(25, [b.instances[0], a.instances[0], b.instances[1]])
+    ref = bf_all_pairs(g)
+    for i in range(g.ell):
+        assert np.array_equal(graph.distance_rows(g, i, range(g.n)), ref[i])
+
+
+def test_bounded_cursor_settles_nodes_within_limit():
+    for seed in range(4):
+        for g in (random_graph(40, 3, seed=seed, ell=2), skewed_graph(40, 3, seed, 2),
+                  random_graph(40, 2, seed=seed, model=EdgeLengthModel.unit())):
+            for src in range(0, g.n, 9):
+                for limit in (0.5, 1.0, 2.0):
+                    whole = list(DijkstraCursor(g, 0, src).resume())
+                    bounded = DijkstraCursor(g, 0, src, limit)
+                    assert list(bounded.resume()) == [(u, d) for u, d in whole if d <= limit]
+                    assert bounded.exhausted and bounded.mu == INF
 
 
 # ------------------------------------------------------------- cursor

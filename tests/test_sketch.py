@@ -388,3 +388,15 @@ def test_threshold_file_roundtrip(tmp_path):
     assert np.array_equal(ra.rank, ranks2.rank)
     for a, b in zip(sketches, loaded):
         assert a.ranks == b.ranks and a.T == b.T
+
+
+@pytest.mark.parametrize("size", [20, 60])
+def test_truncated_sketch_file_is_value_error(tmp_path, size):
+    g = random_graph(30, 3, seed=5, ell=3)
+    sketches, _ = build_cads(g, 5, seed=11)
+    path = tmp_path / "sk.bin"
+    save_sketches(str(path), sketches, seed=11)
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated"):
+        load_sketches(str(cut))
