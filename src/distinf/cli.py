@@ -44,23 +44,16 @@ def _load_graph(args) -> MultiInstanceGraph:
 
 
 def _read_seeds(path: str, g: MultiInstanceGraph) -> list[int]:
-    seeds = []
+    """Node indices of the seed labels in a file, one label per line."""
     with open(path) as fh:
-        for line in fh:
-            tok = line.strip()
-            if tok:
-                seeds.append(g.node_of_label(tok) if not tok.lstrip("-").isdigit() else int(tok))
-    for s in seeds:
-        if not (0 <= s < g.n):
-            raise ValueError(f"seed {s} out of range")
-    return seeds
+        return [g.node_of_label(tok) for tok in (line.strip() for line in fh) if tok]
 
 
 def _write_trace(trace: exact.GreedyTrace, args, g: MultiInstanceGraph) -> None:
     if args.out:
-        trace.to_csv(args.out)
+        trace.to_csv(args.out, g.labels)
     else:
-        trace.write_csv(sys.stdout)
+        trace.write_csv(sys.stdout, g.labels)
     if getattr(args, "metrics", None):
         with open(args.metrics, "w") as fh:
             json.dump(trace.metadata, fh, indent=2)

@@ -271,39 +271,6 @@ def load_npz(path: str) -> MultiInstanceGraph:
     )
 
 
-def forward_dijkstra(
-    g: MultiInstanceGraph,
-    instance: int,
-    src: int,
-    prune: Callable[[int, float], bool] | None = None,
-) -> Iterator[tuple[int, float]]:
-    """Stream (node, distance) in non-decreasing distance order from src.
-
-    A node at which prune returns true is still yielded but its out-edges are
-    not relaxed.
-    """
-    if not (0 <= src < g.n):
-        raise ValueError(f"source {src} out of range")
-    return _forward_iter(g.instances[instance].adj, src, prune)
-
-
-def _forward_iter(adj, src, prune):
-    dist: dict[int, float] = {}
-    heap = [(0.0, src)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        yield u, d
-        if prune is not None and prune(u, d):
-            continue
-        for v, w in adj[u]:
-            if v not in dist:
-                push(heap, (d + w, v))
-
-
 class DijkstraCursor:
     """Pausable reverse Dijkstra from one node-instance pair.
 
@@ -477,18 +444,23 @@ def distance_rows(
     return dist.reshape(rows, n)
 
 
-def all_pairs_distances(g: MultiInstanceGraph, limit: float = INF) -> list[np.ndarray]:
-    """Per-instance (n, n) distance matrices; entries beyond limit stay inf.
+def residual_update(
+    g: MultiInstanceGraph, delta: np.ndarray, x: int, limit: float = INF
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of an (ell, n) residual that adding seed x improves.
 
-    Rows come from the batched `distance_rows` kernel, one source block at a
-    time.  Beyond the n^2 * ell output, transient memory is bounded by one
-    block of at most _BLOCK_CELLS (2^20) distances and one relaxation chunk
-    of _CHUNK_RELAX (2^12) edges.
+    Returns parallel arrays (instance, node, old, new) with new < old, sorted
+    by (instance, new, node): the order in which a per-instance Dijkstra from
+    x, pruned where it does not beat delta and bounded by limit, settles
+    them.  delta is not modified; callers write `delta[instance, node] = new`
+    once they have used the old values.
     """
-    out = []
-    for i in range(g.ell):
-        mat = np.empty((g.n, g.n))
-        for blk in source_blocks(g.n):
-            mat[blk.start:blk.stop] = distance_rows(g, i, blk, limit)
-        out.append(mat)
-    return out
+    parts = []
+    for blk in source_blocks(g.n, g.ell):
+        old = delta[blk.start:blk.stop]
+        new = distance_rows(g, blk, x, limit, start=old)
+        row, node = np.nonzero(new < old)
+        parts.append((row + blk.start, node, old[row, node], new[row, node]))
+    inst, node, old, new = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((node, new, inst))
+    return inst[order], node[order], old[order], new[order]

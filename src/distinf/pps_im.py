@@ -11,8 +11,9 @@ promote them).  Running sums EstH[u] and counts EstM[u] give the influence
 estimate (EstH + tau * EstM) / ell at all times.
 
 tau decreases geometrically until the best estimate clears the k * tau
-confidence gate; committing a seed runs forward Dijkstras that shrink the
-residual distances, demote or trim index entries, and lower pair priorities.
+confidence gate; committing a seed runs one batched forward search whose
+improved residual distances demote or trim index entries and lower pair
+priorities.
 Reverse Dijkstras pause when the next contribution falls under r * tau and
 resume when tau has dropped enough; a pair whose next contribution cannot be
 positive is terminated for good.
@@ -28,17 +29,12 @@ import numpy as np
 
 from .decay import DecayFunction
 from .exact import GreedyTrace, _marg_gain_delta
-from .graph import DijkstraCursor, MultiInstanceGraph
+from .graph import DijkstraCursor, MultiInstanceGraph, residual_update
 from .sketch import structured_ranks
 
 INF = math.inf
 
 Pair = tuple[int, int]  # (node, instance)
-
-
-def pps_include(contribution: float, r: float, tau: float) -> bool:
-    """Sample-inclusion rule: contribution / r >= tau (boundary inclusive)."""
-    return contribution / r >= tau
 
 
 def _first_contribution_below(entries: list, ad: float, threshold: float, lo: int = 0) -> int:
@@ -349,48 +345,31 @@ class PPSState:
         self._update_reclass(pair)
 
     def commit_seed(self, x: int, estimate: float | None = None) -> float:
-        """Make x a seed: forward Dijkstra per instance updates the residual
-        distances, demotes samples, and accumulates the exact marginal."""
+        """Make x a seed: every residual distance it improves demotes samples,
+        lowers the pair's priority, and adds to the exact marginal, pair by
+        pair in per-instance Dijkstra order."""
         if self.is_seed[x]:
             raise ValueError(f"node {x} is already a seed")
         g, fn = self.g, self.alpha.fn
-        support = self.alpha.support_bound
-        delta, alpha_delta = self.delta, self.alpha_delta
-        prio = self.pair_prio
+        alpha_delta, prio = self.alpha_delta, self.pair_prio
+        inst, node, _, new = residual_update(g, self.delta, x, self.alpha.support_bound)
         gain_total = 0.0
-        push, pop = heapq.heappush, heapq.heappop
-        for i, inst in enumerate(g.instances):
-            adj = inst.adj
-            drow, arow = delta[i], alpha_delta[i]
-            dist: dict[int, float] = {}
-            heap = [(0.0, x)]
-            while heap:
-                d, v = pop(heap)
-                if v in dist:
-                    continue
-                if d > support:
-                    break
-                dist[v] = d
-                if d >= drow[v]:
-                    continue  # no improvement: prune
-                a_d = fn(d)
-                gain_total += a_d - arow[v]
-                if prio[i, v] > -INF:
-                    cursor = self.cursors.get((v, i))
-                    mu = cursor.mu if cursor is not None else 0.0
-                    new_p = (fn(mu) - a_d) / self.rank_norm[i, v]
-                    if new_p <= 0:
-                        prio[i, v] = -INF  # terminated for good
-                        self.cursors.pop((v, i), None)
-                    else:
-                        prio[i, v] = new_p  # lazy: heap fixed up on pop
-                self._move_down((v, i), a_d)
-                drow[v] = d
-                arow[v] = a_d
-                self.delta_update_count += 1
-                for w_node, w in adj[v]:
-                    if w_node not in dist:
-                        push(heap, (d + w, w_node))
+        for i, v, d in zip(inst.tolist(), node.tolist(), new.tolist()):
+            a_d = fn(d)
+            gain_total += a_d - alpha_delta[i, v]
+            if prio[i, v] > -INF:
+                cursor = self.cursors.get((v, i))
+                mu = cursor.mu if cursor is not None else 0.0
+                new_p = (fn(mu) - a_d) / self.rank_norm[i, v]
+                if new_p <= 0:
+                    prio[i, v] = -INF  # terminated for good
+                    self.cursors.pop((v, i), None)
+                else:
+                    prio[i, v] = new_p  # lazy: heap fixed up on pop
+            self._move_down((v, i), a_d)
+            alpha_delta[i, v] = a_d
+        self.delta[inst, node] = new
+        self.delta_update_count += len(inst)
         self.is_seed[x] = True
         self.seeds.append(x)
         self.coverage += gain_total

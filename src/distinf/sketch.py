@@ -70,12 +70,6 @@ class RankAssignment:
     def pair_of_rank(self) -> dict[int, tuple[int, int]]:
         return {r: (v, i) for r, v, i in self.sources()}
 
-    def normalized(self, v: int, i: int) -> float:
-        r = self.rank[v, i]
-        if r == 0:
-            raise ValueError(f"pair ({v}, {i}) has no rank")
-        return r / self.norm
-
     def normalized_matrix(self) -> np.ndarray:
         """(ell, n) matrix of normalized ranks; requires every pair ranked."""
         if not (self.rank > 0).all():
@@ -181,10 +175,6 @@ class CADS:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def rank_distance_pairs(self) -> list[tuple[float, float]]:
-        """(normalized rank, distance) view of the entries."""
-        return [(r / self.norm, d) for r, d, _, _ in self.entries]
 
 
 def merge_cads(

@@ -10,14 +10,13 @@ count, after which building resumes where it paused.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 
 import numpy as np
 
 from .exact import GreedyTrace
-from .graph import DijkstraCursor, MultiInstanceGraph
+from .graph import DijkstraCursor, MultiInstanceGraph, residual_update
 from .sketch import RankAssignment, structured_ranks
 
 INF = math.inf
@@ -86,41 +85,19 @@ class ThresholdState:
 
     def _cover(self, x: int) -> float:
         """Add x as a seed: update residual distances, count newly covered
-        pairs, and delete their sketch contributions."""
-        g, T = self.g, self.T
-        covered = self.covered
+        pairs, and delete their sketch contributions.  A paused cursor whose
+        pair gets covered is dropped by `_select`."""
+        inst, node, old, new = residual_update(self.g, self.covered, x, self.T)
+        self.covered[inst, node] = new
+        fresh = old == INF
         counts = self.counts
-        gained = 0
-        for i, inst in enumerate(g.instances):
-            adj = inst.adj
-            row = covered[i]
-            dist: dict[int, float] = {}
-            heap = [(0.0, x)]
-            push, pop = heapq.heappush, heapq.heappop
-            while heap:
-                d, v = pop(heap)
-                if v in dist:
-                    continue
-                if d > T:
-                    break
-                dist[v] = d
-                if d >= row[v]:
-                    continue  # already at least as close: prune
-                if row[v] == INF:
-                    gained += 1
-                    removed = self.contributors.pop((v, i), None)
-                    if removed:
-                        for u in removed:
-                            counts[u] -= 1
-                    if self.active is not None and self.active[0] == (v, i):
-                        self.active = None
-                row[v] = d
-                for w_node, w in adj[v]:
-                    if w_node not in dist:
-                        push(heap, (d + w, w_node))
+        for i, v in zip(inst[fresh].tolist(), node[fresh].tolist()):
+            for u in self.contributors.pop((v, i), ()):
+                counts[u] -= 1
+        gained = int(fresh.sum())
         self.n_covered += gained
         self.seeds.append(x)
-        return gained / g.ell
+        return gained / self.g.ell
 
 
 def run_threshold_im(

@@ -80,6 +80,29 @@ def marg_gain_bf(g, delta, u, alpha):
     return total / g.ell
 
 
+def greedy_bf(g, alpha, s_max):
+    """Plain (non-lazy) greedy by definition: every round scans all nodes,
+    takes the largest marginal gain over Bellman-Ford distances, and breaks
+    ties to the lowest node index.  Returns (seeds, marginals)."""
+    dists = bf_all_pairs(g)
+    best = [[INF] * g.n for _ in range(g.ell)]
+    seeds, marginals = [], []
+    for _ in range(s_max):
+        gains = [
+            sum(
+                alpha(min(b, d)) - alpha(b)
+                for i in range(g.ell)
+                for b, d in zip(best[i], dists[i][u])
+            ) / g.ell
+            for u in range(g.n)
+        ]
+        u = max((u for u in range(g.n) if u not in seeds), key=lambda u: (gains[u], -u))
+        seeds.append(u)
+        marginals.append(gains[u])
+        best = [[min(b, d) for b, d in zip(best[i], dists[i][u])] for i in range(g.ell)]
+    return seeds, marginals
+
+
 def cads_bf(g, ranks, k, v, dists=None):
     """Combined sketch of v straight from its defining inclusion rule.
 

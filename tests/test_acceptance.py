@@ -17,8 +17,8 @@ from distinf import (
     build_threshold_sketches,
     estimate_influence,
     estimate_union_size,
-    greedy_dense,
     influence_exact,
+    lazy_greedy,
     make_exponential,
     make_harmonic,
     make_threshold,
@@ -89,7 +89,7 @@ def test_c2_greedy_quality_threshold():
     passes, worst = 0, 1.0
     for trial in range(10):
         g = skewed_graph(200, 4, seed=trial * 31, ell=16)
-        exact = greedy_dense(g, make_threshold(T), s_max)
+        exact = lazy_greedy(g, make_threshold(T), s_max)
         approx = run_threshold_im(g, T, k, s_max, seed=trial)
         got = np.cumsum(approx.marginals()[:s_max])
         want = np.cumsum(exact.marginals()[:s_max])
@@ -113,7 +113,7 @@ def test_c3_greedy_quality_smooth_decay():
         passes, worst = 0, 1.0
         for trial in range(10):
             g = skewed_graph(200, 4, seed=trial * 31, ell=16)
-            exact = greedy_dense(g, alpha, s_max)
+            exact = lazy_greedy(g, alpha, s_max)
             approx = run_pps_im(g, alpha, k, s_max, seed=trial)
             got = np.cumsum(approx.marginals()[:s_max])
             want = np.cumsum(exact.marginals()[:s_max])

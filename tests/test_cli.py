@@ -246,3 +246,26 @@ def test_bad_npz_is_validation_error(tmp_path):
              weights=np.ones((1, 2)), labels=np.array(["a", "b", "c"]))
     rc = main(["greedy", "exact", "--graph", p, "--decay", "harmonic:1", "--seeds", "1"])
     assert rc == 2
+
+
+@pytest.fixture
+def labelled_edges(tmp_path):
+    # labels differ from the dense indices: "10" is node 3, the best seed
+    p = tmp_path / "labelled.txt"
+    p.write_text("1 2\n2 3\n3 1\n10 1\n")
+    return str(p)
+
+
+def test_trace_prints_node_labels(labelled_edges, capsys):
+    assert main(["greedy", "exact", "--edges", labelled_edges, "--model", "unit", "--ell", "1",
+                 "--decay", "exp:1", "--seeds", "2"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rows[0].split(",")[1] == "10"
+
+
+def test_eval_reads_seed_labels(labelled_edges, tmp_path, capsys):
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("10\n")
+    assert main(["eval", "--edges", labelled_edges, "--model", "unit", "--m", "2",
+                 "--seeds-file", str(seeds_file), "--decay", "threshold:3"]) == 0
+    assert capsys.readouterr().out.strip().split("\n")[1] == "1,4.0,100.00"

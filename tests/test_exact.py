@@ -11,7 +11,6 @@ from distinf import (
     ResidualState,
     add_seed,
     evaluate_prefixes,
-    greedy_dense,
     influence_exact,
     lazy_greedy,
     make_exponential,
@@ -24,7 +23,7 @@ from distinf import (
 from distinf import graph
 from distinf.exact import _marg_gain_delta, _singleton_gains
 
-from bruteforce import influence_bf, marg_gain_bf, random_graph, residual_delta_bf, skewed_graph
+from bruteforce import greedy_bf, influence_bf, marg_gain_bf, random_graph, residual_delta_bf, skewed_graph
 
 INF = math.inf
 
@@ -157,14 +156,14 @@ def test_greedy_telescopes_and_is_submodular():
             )
 
 
-def test_greedy_dense_matches_lazy_greedy():
+def test_lazy_greedy_matches_plain_greedy():
     for seed in range(5):
         g = random_graph(40, 3, seed=seed, ell=3)
         for alpha in (make_harmonic(3), make_threshold(1.0)):
-            a = lazy_greedy(g, alpha, 10)
-            b = greedy_dense(g, alpha, 10)
-            assert a.seeds() == b.seeds()
-            assert a.marginals() == pytest.approx(b.marginals(), abs=1e-9)
+            trace = lazy_greedy(g, alpha, 10)
+            seeds, marginals = greedy_bf(g, alpha, 10)
+            assert trace.seeds() == seeds
+            assert trace.marginals() == pytest.approx(marginals, abs=1e-9)
 
 
 def test_singleton_gains_match_per_node_search():

@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distinf import (
     DijkstraCursor,
     EdgeLengthModel,
     GraphFormatError,
     MultiInstanceGraph,
-    all_pairs_distances,
-    forward_dijkstra,
     graph,
     load_edge_list,
     load_npz,
+    make_exponential,
+    make_harmonic,
+    make_threshold,
     sample_instances,
     save_npz,
+    truncate,
 )
 
-from bruteforce import bf_all_pairs, bf_distances, instance_edges, random_graph, skewed_graph
+from bruteforce import bf_all_pairs, random_graph, residual_delta_bf, skewed_graph
 
 INF = math.inf
 
@@ -145,32 +149,18 @@ def test_model_validation():
 # ------------------------------------------------------------- dijkstra
 
 
-def test_forward_dijkstra_line_graph():
-    g = line_graph()
-    assert list(forward_dijkstra(g, 0, 0)) == [(0, 0.0), (1, 1.0), (2, 2.0)]
+def test_distance_rows_line_graph():
+    assert graph.distance_rows(line_graph(), 0, [0]).tolist() == [[0.0, 1.0, 2.0]]
 
 
-def test_forward_dijkstra_sink_only_self():
-    g = line_graph()
-    assert list(forward_dijkstra(g, 0, 2)) == [(2, 0.0)]
+def test_distance_rows_sink_reaches_only_itself():
+    assert graph.distance_rows(line_graph(), 0, [2]).tolist() == [[INF, INF, 0.0]]
 
 
-def test_forward_dijkstra_prune_stops_relaxation():
-    g = line_graph()
-    got = list(forward_dijkstra(g, 0, 0, prune=lambda u, d: d >= 1))
-    assert got == [(0, 0.0), (1, 1.0)]
-
-
-def test_forward_dijkstra_matches_bellman_ford():
-    for seed in range(6):
-        g = random_graph(40, 3, seed=seed, ell=2)
-        for i in range(g.ell):
-            edges = instance_edges(g, i)
-            for src in range(0, 40, 7):
-                got = dict(forward_dijkstra(g, i, src))
-                want = bf_distances(edges, g.n, [src])
-                for v in range(g.n):
-                    assert got.get(v, INF) == pytest.approx(want[v], abs=1e-12)
+def test_distance_rows_start_prunes_relaxation():
+    # node 1 does not improve its start distance, so its out-edge is not relaxed
+    got = graph.distance_rows(line_graph(), 0, [0], start=np.array([[INF, 1.0, INF]]))
+    assert got.tolist() == [[0.0, 1.0, INF]]
 
 
 def _graphs_with_sinks():
@@ -185,7 +175,8 @@ def test_distance_rows_match_bellman_ford(limit):
     sinks = 0
     for g in _graphs_with_sinks():
         sinks += sum(int((np.bincount(inst.tails, minlength=g.n) == 0).sum()) for inst in g.instances)
-        for got, ref in zip(all_pairs_distances(g, limit), bf_all_pairs(g)):
+        for i, ref in enumerate(bf_all_pairs(g)):
+            got = graph.distance_rows(g, i, range(g.n), limit)
             assert np.array_equal(got, np.where(ref <= limit, ref, INF))
     assert sinks > 0
 
@@ -195,8 +186,10 @@ def test_distance_rows_blocks_and_chunks(monkeypatch):
     ref = bf_all_pairs(g)
     monkeypatch.setattr(graph, "_BLOCK_CELLS", 3 * g.n)
     monkeypatch.setattr(graph, "_CHUNK_RELAX", 5)
-    assert len(list(graph.source_blocks(g.n))) == 14
-    for got, want in zip(all_pairs_distances(g), ref):
+    blocks = list(graph.source_blocks(g.n))
+    assert len(blocks) == 14
+    for i, want in enumerate(ref):
+        got = np.concatenate([graph.distance_rows(g, i, blk) for blk in blocks])
         assert np.array_equal(got, want)
     rows = graph.distance_rows(g, 1, [39, 0, 39])
     assert np.array_equal(rows, ref[1][[39, 0, 39]])
@@ -226,6 +219,52 @@ def test_distance_rows_instances_with_own_topologies():
     ref = bf_all_pairs(g)
     for i in range(g.ell):
         assert np.array_equal(graph.distance_rows(g, i, range(g.n)), ref[i])
+
+
+DECAYS = {
+    "threshold": make_threshold(1.0),
+    "exp": make_exponential(1.5),
+    "harmonic": make_harmonic(2.0),
+    "truncated": truncate(make_exponential(1.0), 0.2),
+}
+
+
+@st.composite
+def residual_cases(draw):
+    """Small graphs with sinks, unit (tied) or random lengths, and a seed list."""
+    n = draw(st.integers(1, 12))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    ell = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        weights = np.ones((ell, len(edges)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
+    g = MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
+    seeds = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    return g, seeds, draw(st.sampled_from(sorted(DECAYS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residual_cases())
+def test_residual_update_matches_bruteforce(case):
+    g, seeds, name = case
+    alpha = DECAYS[name]
+    delta = np.full((g.ell, g.n), INF)
+    for s in range(1, len(seeds) + 1):
+        before = delta.copy()
+        inst, node, old, new = graph.residual_update(g, delta, seeds[s - 1], alpha.support_bound)
+        assert np.array_equal(delta, before)  # reported, not applied
+        assert (new < old).all() and np.array_equal(old, before[inst, node])
+        keys = list(zip(inst.tolist(), new.tolist(), node.tolist()))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        delta[inst, node] = new
+        want = residual_delta_bf(g, seeds[:s], alpha)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(delta), finite)
+        assert np.array_equal(delta[finite], want[finite])
+        assert np.count_nonzero(delta != before) == len(inst)
 
 
 def test_bounded_cursor_settles_nodes_within_limit():

@@ -9,7 +9,6 @@ from distinf import (
     make_exponential,
     make_harmonic,
     make_threshold,
-    pps_include,
     run_pps_im,
     run_threshold_im,
 )
@@ -25,12 +24,6 @@ def line_graph():
 
 
 # ------------------------------------------------------------- sampling rule
-
-
-def test_pps_include_rule():
-    assert pps_include(0.4, 0.5, 0.7)  # 0.8 >= 0.7
-    assert not pps_include(0.0, 0.3, 0.7)
-    assert pps_include(0.7, 1.0, 0.7)  # boundary inclusive
 
 
 def test_node_estimate_formula():
@@ -251,3 +244,9 @@ def test_next_seed_adaptive_rejects_inflated_estimate():
     assert state.next_seed() is None  # 1.5 < (1 - 0.1) * 10
     # the candidate was requeued at its exact marginal
     assert (-1.5, 1) in state.q_cands
+
+
+def test_run_builds_no_forward_adjacency():
+    g = random_graph(60, 3, seed=5, ell=3)
+    run_pps_im(g, make_exponential(2), k=8, s_max=10, seed=1)
+    assert all(inst._adj is None for inst in g.instances)

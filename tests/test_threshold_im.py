@@ -5,8 +5,8 @@ import pytest
 
 from distinf import (
     MultiInstanceGraph,
-    greedy_dense,
     influence_exact,
+    lazy_greedy,
     make_threshold,
     run_threshold_im,
 )
@@ -110,7 +110,13 @@ def test_quality_close_to_exact_greedy_smoke():
     g = random_graph(100, 4, seed=9, ell=4)
     T = 0.8
     approx = run_threshold_im(g, T, k=64, s_max=10, seed=4)
-    exact = greedy_dense(g, make_threshold(T), 10)
+    exact = lazy_greedy(g, make_threshold(T), 10)
     got = np.cumsum(approx.marginals()[:10])
     want = np.cumsum(exact.marginals()[:10])
     assert (got >= 0.9 * want).all()
+
+
+def test_run_builds_no_forward_adjacency():
+    g = random_graph(60, 3, seed=5, ell=3)
+    run_threshold_im(g, T=0.8, k=8, s_max=10, seed=1)
+    assert all(inst._adj is None for inst in g.instances)
