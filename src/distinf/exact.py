@@ -1,4 +1,4 @@
-"""Exact influence evaluation, the residual problem, and greedy baselines.
+"""Exact influence evaluation, the residual problem, and the exact greedy baseline.
 
 Influence of a seed set is the per-instance sum of decayed distances from the
 set, averaged over instances.  The residual problem keeps, per node-instance

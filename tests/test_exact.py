@@ -201,9 +201,9 @@ DECAYS = {
 
 
 @st.composite
-def prefix_cases(draw):
+def prefix_cases(draw, max_n=10):
     """Small graphs with sinks, unit (tied) or random lengths, and a seed list."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
     ell = draw(st.integers(1, 3))
@@ -226,6 +226,27 @@ def test_evaluate_prefixes_matches_bruteforce(case):
     assert len(got) == len(seeds)
     for s, value in enumerate(got, start=1):
         assert value == pytest.approx(influence_bf(g, seeds[:s], alpha), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cases(max_n=12))
+def test_residual_update_matches_bruteforce(case):
+    g, seeds, name = case
+    alpha = DECAYS[name]
+    delta = np.full((g.ell, g.n), INF)
+    for s in range(1, len(seeds) + 1):
+        before = delta.copy()
+        inst, node, old, new = graph.residual_update(g, delta, seeds[s - 1], alpha.support_bound)
+        assert np.array_equal(delta, before)  # reported, not applied
+        assert (new < old).all() and np.array_equal(old, before[inst, node])
+        keys = list(zip(inst.tolist(), new.tolist(), node.tolist()))
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        delta[inst, node] = new
+        want = residual_delta_bf(g, seeds[:s], alpha)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(delta), finite)
+        assert np.array_equal(delta[finite], want[finite])
+        assert np.count_nonzero(delta != before) == len(inst)
 
 
 def _kernel_residual(g, seeds, alpha):

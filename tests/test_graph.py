@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from distinf import (
     DijkstraCursor,
@@ -13,15 +11,11 @@ from distinf import (
     graph,
     load_edge_list,
     load_npz,
-    make_exponential,
-    make_harmonic,
-    make_threshold,
     sample_instances,
     save_npz,
-    truncate,
 )
 
-from bruteforce import bf_all_pairs, random_graph, residual_delta_bf, skewed_graph
+from bruteforce import bf_all_pairs, random_graph, skewed_graph
 
 INF = math.inf
 
@@ -219,52 +213,6 @@ def test_distance_rows_instances_with_own_topologies():
     ref = bf_all_pairs(g)
     for i in range(g.ell):
         assert np.array_equal(graph.distance_rows(g, i, range(g.n)), ref[i])
-
-
-DECAYS = {
-    "threshold": make_threshold(1.0),
-    "exp": make_exponential(1.5),
-    "harmonic": make_harmonic(2.0),
-    "truncated": truncate(make_exponential(1.0), 0.2),
-}
-
-
-@st.composite
-def residual_cases(draw):
-    """Small graphs with sinks, unit (tied) or random lengths, and a seed list."""
-    n = draw(st.integers(1, 12))
-    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
-    ell = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        weights = np.ones((ell, len(edges)))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
-    g = MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
-    seeds = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
-    return g, seeds, draw(st.sampled_from(sorted(DECAYS)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(residual_cases())
-def test_residual_update_matches_bruteforce(case):
-    g, seeds, name = case
-    alpha = DECAYS[name]
-    delta = np.full((g.ell, g.n), INF)
-    for s in range(1, len(seeds) + 1):
-        before = delta.copy()
-        inst, node, old, new = graph.residual_update(g, delta, seeds[s - 1], alpha.support_bound)
-        assert np.array_equal(delta, before)  # reported, not applied
-        assert (new < old).all() and np.array_equal(old, before[inst, node])
-        keys = list(zip(inst.tolist(), new.tolist(), node.tolist()))
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        delta[inst, node] = new
-        want = residual_delta_bf(g, seeds[:s], alpha)
-        finite = np.isfinite(want)
-        assert np.array_equal(np.isfinite(delta), finite)
-        assert np.array_equal(delta[finite], want[finite])
-        assert np.count_nonzero(delta != before) == len(inst)
 
 
 def test_bounded_cursor_settles_nodes_within_limit():
