@@ -33,7 +33,6 @@ from .sketch import (
     build_threshold_sketches,
     estimate_influence,
     estimate_union_size,
-    hip_threshold,
     load_sketches,
     merge_cads,
     save_sketches,
@@ -67,7 +66,6 @@ __all__ = [
     "estimate_influence",
     "estimate_union_size",
     "evaluate_prefixes",
-    "hip_threshold",
     "influence_exact",
     "lazy_greedy",
     "load_edge_list",

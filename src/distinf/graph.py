@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,8 @@ class MultiInstanceGraph:
     def __init__(self, n: int, instances: Sequence[Instance], labels: Sequence[str] | None = None):
         if not instances:
             raise ValueError("need at least one instance")
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"need {n} node labels, got {len(labels)}")
         self.n = n
         self.instances = list(instances)
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
@@ -179,8 +181,10 @@ class MultiInstanceGraph:
         labels: Sequence[str] | None = None,
     ) -> "MultiInstanceGraph":
         """Build from parallel edge arrays; weights is (ell, m) or None for unit."""
-        tails = np.asarray(tails, dtype=np.int64)
-        heads = np.asarray(heads, dtype=np.int64)
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        if any(a.size and a.dtype.kind not in "iu" for a in (tails, heads)):
+            raise ValueError("edge endpoints must be integer node ids")
+        tails, heads = tails.astype(np.int64), heads.astype(np.int64)
         if weights is None:
             weights = np.ones((1, len(tails)))
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
@@ -251,8 +255,10 @@ def sample_instances(base: MultiInstanceGraph, model: EdgeLengthModel, ell: int)
 
 
 def save_npz(g: MultiInstanceGraph, path: str) -> None:
-    """Binary cache of a graph; round-trips losslessly."""
+    """Binary cache of a graph whose instances share one topology; round-trips losslessly."""
     inst = g.instances[0]
+    if not all(np.array_equal(i.tails, inst.tails) and np.array_equal(i.heads, inst.heads) for i in g.instances):
+        raise ValueError("an npz cache needs every instance to have instance 0's edges")
     weights = np.stack([i.weights for i in g.instances]) if len(inst.weights) else np.zeros((g.ell, 0))
     np.savez(
         path,
@@ -265,10 +271,13 @@ def save_npz(g: MultiInstanceGraph, path: str) -> None:
 
 
 def load_npz(path: str) -> MultiInstanceGraph:
-    data = np.load(path)
-    return MultiInstanceGraph.from_arrays(
-        int(data["n"]), data["tails"], data["heads"], data["weights"], [str(x) for x in data["labels"]]
-    )
+    with np.load(path) as data:
+        missing = {"n", "tails", "heads", "weights", "labels"} - set(data.files)
+        if missing:
+            raise ValueError(f"{path}: npz cache lacks array(s) {', '.join(sorted(missing))}")
+        return MultiInstanceGraph.from_arrays(
+            int(data["n"]), data["tails"], data["heads"], data["weights"], [str(x) for x in data["labels"]]
+        )
 
 
 class DijkstraCursor:
@@ -276,10 +285,10 @@ class DijkstraCursor:
 
     Runs on the transpose of the pair's instance, so settled distances are
     distances *to* the source in the original graph.  `mu` is the smallest
-    unsettled tentative distance (0 initially, inf once exhausted); resuming
-    continues exactly where the previous resume paused.  With a finite
-    `limit` the search never pushes a node beyond it, so it settles exactly
-    the nodes within limit and is exhausted after them.
+    unsettled tentative distance (0 initially, inf once exhausted, when
+    `peek` returns None); a search pauses between `settle_next` calls.  With
+    a finite `limit` the search never pushes a node beyond it, so it settles
+    exactly the nodes within limit and is exhausted after them.
     """
 
     __slots__ = ("source", "_radj", "_dist", "_heap", "_limit")
@@ -305,10 +314,6 @@ class DijkstraCursor:
         d = self.peek()
         return INF if d is None else d
 
-    @property
-    def exhausted(self) -> bool:
-        return self.peek() is None
-
     def settle_next(self) -> tuple[int, float]:
         """Settle and return the next node; relaxes its transpose out-edges."""
         d = self.peek()
@@ -324,19 +329,6 @@ class DijkstraCursor:
                 if dv <= limit:
                     push(heap, (dv, v))
         return u, d
-
-    def resume(self, stop: Callable[[float], bool] | None = None) -> Iterator[tuple[int, float]]:
-        """Stream settles until stop(next distance) holds or the search ends."""
-        if self.exhausted:
-            raise RuntimeError("cannot resume a terminated cursor")
-        return self._resume_iter(stop)
-
-    def _resume_iter(self, stop):
-        while True:
-            d = self.peek()
-            if d is None or (stop is not None and stop(d)):
-                return
-            yield self.settle_next()
 
 
 # Memory bounds of the batched distance kernel: a block of rows holds at most

@@ -11,7 +11,8 @@ the model's domain size (n*ell for permutations).
 
 Combined sketches keep, per node, the rank-distance pairs whose rank is below
 the k-th smallest among strictly closer pairs; distance ties are broken by
-(node, instance) index.
+(node, instance) index.  A threshold sketch of a node is the k smallest
+ranks among its per-instance all-distances sketch entries within T.
 """
 
 from __future__ import annotations
@@ -120,22 +121,24 @@ def _make_ranks(n: int, ell: int, k: int, seed: int, model: str) -> RankAssignme
 
 
 def build_ads_instance(
-    g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int
+    g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int, limit: float = INF
 ) -> list[list[Entry]]:
-    """Single-instance all-distances sketches for every node.
+    """Single-instance all-distances sketches for every node, cut at limit.
 
     Reverse Dijkstras run from the instance's ranked pairs in increasing rank
-    order; a search is pruned at nodes that already hold k entries strictly
-    closer (by the tie-broken key) than the current settle distance.
+    order and push no node beyond `limit`; a search is pruned at nodes that
+    already hold k entries strictly closer (by the tie-broken key) than the
+    current settle distance.  So the entries of a node within any distance
+    x <= limit include the k smallest ranks within x.
     """
-    n = g.n
     radj = g.instances[instance].radj
-    entries: list[list[Entry]] = [[] for _ in range(n)]
-    keys: list[list[tuple[float, int, int]]] = [[] for _ in range(n)]
+    col = ranks.rank[:, instance]
+    ranked = np.flatnonzero(col)
+    ranked = ranked[np.argsort(col[ranked])]
+    entries: list[list[Entry]] = [[] for _ in range(g.n)]
+    keys: list[list[tuple[float, int]]] = [[] for _ in range(g.n)]
     push, pop = heapq.heappush, heapq.heappop
-    for r, src, i in ranks.sources():
-        if i != instance:
-            continue
+    for r, src in zip(col[ranked].tolist(), ranked.tolist()):
         dist: dict[int, float] = {}
         heap = [(0.0, src)]
         while heap:
@@ -143,7 +146,7 @@ def build_ads_instance(
             if v in dist:
                 continue
             dist[v] = d
-            key = (d, src, instance)
+            key = (d, src)  # the instance is fixed, so (d, src) orders like the entry key
             kv = keys[v]
             pos = bisect_left(kv, key)
             if pos >= k:
@@ -152,7 +155,9 @@ def build_ads_instance(
             entries[v].append((r, d, src, instance))
             for u, w in radj[v]:
                 if u not in dist:
-                    push(heap, (d + w, u))
+                    du = d + w
+                    if du <= limit:
+                        push(heap, (du, u))
     for lst in entries:
         lst.sort(key=_entry_key)
     return entries
@@ -243,22 +248,6 @@ def build_cads(
     return combined, ranks
 
 
-def hip_threshold(sk: CADS, x: float, k: int | None = None) -> float:
-    """k-th smallest normalized rank among entries strictly closer than x.
-
-    Returns 1.0 (the rank-domain maximum) when fewer than k such entries
-    exist; this is the inclusion probability of a pair at distance x.
-    """
-    if not x > 0:
-        raise ValueError("distance must be positive")
-    if k is None:
-        k = sk.k
-    below = [e[0] for e in sk.entries if e[1] < x]
-    if len(below) < k:
-        return 1.0
-    return heapq.nsmallest(k, below)[-1] / sk.norm
-
-
 def estimate_influence(
     sketches: Mapping[int, CADS] | Sequence[CADS],
     seeds: Sequence[int],
@@ -321,38 +310,18 @@ def build_threshold_sketches(
 ) -> list[ThresholdSketch]:
     """Bottom-k sketches of the within-T reachable pairs, for every node.
 
-    Reverse Dijkstras run in increasing rank order, pruned at distance T and
-    at nodes already visited k times by strictly closer same-instance
-    searches (closeness in another instance does not transfer along paths).
+    Each instance's all-distances sketches cut at T hold the k smallest ranks
+    within T of every node; they are folded into each node's running k
+    smallest ranks one instance at a time, so only one instance's entries
+    are held at once.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    n = g.n
-    sketch_ranks: list[list[int]] = [[] for _ in range(n)]
-    keys: list[list[list[tuple[float, int]]]] = [[[] for _ in range(g.ell)] for _ in range(n)]
-    push, pop = heapq.heappush, heapq.heappop
-    for r, src, instance in ranks.sources():
-        radj = g.instances[instance].radj
-        dist: dict[int, float] = {}
-        heap = [(0.0, src)]
-        while heap:
-            d, v = pop(heap)
-            if d > T:
-                break
-            if v in dist:
-                continue
-            dist[v] = d
-            kv = keys[v][instance]
-            pos = bisect_left(kv, (d, src))
-            if pos >= k:
-                continue  # k smaller ranks strictly closer in this instance: prune
-            insort(kv, (d, src))
-            if len(sketch_ranks[v]) < k:
-                sketch_ranks[v].append(r)  # increasing rank order keeps the bottom-k
-            for u, w in radj[v]:
-                if u not in dist:
-                    push(heap, (d + w, u))
-    return [ThresholdSketch(sr, k, n, g.ell, T, ranks.norm) for sr in sketch_ranks]
+    bottom: list[list[int]] = [[] for _ in range(g.n)]
+    for instance in range(g.ell):
+        for v, entries in enumerate(build_ads_instance(g, instance, ranks, k, limit=T)):
+            bottom[v] = sorted(bottom[v] + [e[0] for e in entries])[:k]
+    return [ThresholdSketch(b, k, g.n, g.ell, T, ranks.norm) for b in bottom]
 
 
 def estimate_union_size(sketches: Sequence[ThresholdSketch], k: int, norm: int) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 INF = math.inf
 
@@ -189,6 +190,24 @@ def skewed_graph(n, avg_deg, seed, ell):
                 break
     base = MultiInstanceGraph.from_arrays(n, tails, heads)
     return sample_instances(base, EdgeLengthModel.exponential(1.0, seed=seed + 1), ell)
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    """Graphs on at most max_n nodes with sinks, unit (tied) or random
+    lengths, and at most 3 instances."""
+    from distinf import MultiInstanceGraph
+
+    n = draw(st.integers(1, max_n))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    ell = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        weights = np.ones((ell, len(edges)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
+    return MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
 
 
 def rescan_pps_state(state):

@@ -240,11 +240,18 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_bad_npz_is_validation_error(tmp_path):
+@pytest.mark.parametrize(
+    "change",
+    [{"heads": np.array([1, -1])}, {"labels": np.array(["a"])}, {"weights": None},
+     {"tails": np.array([0.5, 1.0])}],
+    ids=["negative-head", "fewer-labels", "missing-array", "float-tails"],
+)
+def test_bad_npz_is_validation_error(tmp_path, change):
+    arrays = {"n": np.int64(3), "tails": np.array([0, 1]), "heads": np.array([1, 2]),
+              "weights": np.ones((1, 2)), "labels": np.array(["a", "b", "c"]), **change}
     p = str(tmp_path / "bad.npz")
-    np.savez(p, n=np.int64(3), tails=np.array([0, 1]), heads=np.array([1, -1]),
-             weights=np.ones((1, 2)), labels=np.array(["a", "b", "c"]))
-    rc = main(["greedy", "exact", "--graph", p, "--decay", "harmonic:1", "--seeds", "1"])
+    np.savez(p, **{name: a for name, a in arrays.items() if a is not None})
+    rc = main(["greedy", "exact", "--graph", p, "--decay", "harmonic:1", "--seeds", "3"])
     assert rc == 2
 
 

@@ -23,7 +23,15 @@ from distinf import (
 from distinf import graph
 from distinf.exact import _marg_gain_delta, _singleton_gains
 
-from bruteforce import greedy_bf, influence_bf, marg_gain_bf, random_graph, residual_delta_bf, skewed_graph
+from bruteforce import (
+    greedy_bf,
+    influence_bf,
+    marg_gain_bf,
+    random_graph,
+    residual_delta_bf,
+    skewed_graph,
+    small_graphs,
+)
 
 INF = math.inf
 
@@ -202,18 +210,9 @@ DECAYS = {
 
 @st.composite
 def prefix_cases(draw, max_n=10):
-    """Small graphs with sinks, unit (tied) or random lengths, and a seed list."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
-    ell = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        weights = np.ones((ell, len(edges)))
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
-    g = MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
-    seeds = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    """A small graph, a seed list and a decay."""
+    g = draw(small_graphs(max_n))
+    seeds = draw(st.permutations(range(g.n)))[: draw(st.integers(0, g.n))]
     return g, seeds, draw(st.sampled_from(sorted(DECAYS)))
 
 

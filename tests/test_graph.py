@@ -76,6 +76,21 @@ def test_npz_roundtrip(tmp_path):
         assert np.array_equal(a.tails, b.tails)
 
 
+def test_empty_edge_list_npz_roundtrip(tmp_path):
+    path = str(tmp_path / "g.npz")
+    save_npz(MultiInstanceGraph.from_arrays(2, [], []), path)
+    h = load_npz(path)
+    assert h.n == 2 and h.instances[0].tails.size == 0
+
+
+def test_save_npz_rejects_instances_with_own_edges(tmp_path):
+    # same edge count, different edges: one stored topology cannot hold both
+    a = MultiInstanceGraph.from_arrays(3, [0, 1], [1, 2]).instances[0]
+    b = MultiInstanceGraph.from_arrays(3, [1, 2], [0, 1]).instances[0]
+    with pytest.raises(ValueError):
+        save_npz(MultiInstanceGraph(3, [a, b]), str(tmp_path / "g.npz"))
+
+
 @pytest.mark.parametrize(
     "tails, heads, lengths",
     [([0, 1], [1, -1], [1.0, 1.0]), ([0, 1], [1, 5], [1.0, 1.0]), ([0, 1], [1, 2], [1.0, math.nan])],
@@ -215,16 +230,24 @@ def test_distance_rows_instances_with_own_topologies():
         assert np.array_equal(graph.distance_rows(g, i, range(g.n)), ref[i])
 
 
+def settle_until(cur, stop=None):
+    """Settle until stop(next distance) holds or the search is exhausted."""
+    settled = []
+    while (d := cur.peek()) is not None and not (stop and stop(d)):
+        settled.append(cur.settle_next())
+    return settled
+
+
 def test_bounded_cursor_settles_nodes_within_limit():
     for seed in range(4):
         for g in (random_graph(40, 3, seed=seed, ell=2), skewed_graph(40, 3, seed, 2),
                   random_graph(40, 2, seed=seed, model=EdgeLengthModel.unit())):
             for src in range(0, g.n, 9):
                 for limit in (0.5, 1.0, 2.0):
-                    whole = list(DijkstraCursor(g, 0, src).resume())
+                    whole = settle_until(DijkstraCursor(g, 0, src))
                     bounded = DijkstraCursor(g, 0, src, limit)
-                    assert list(bounded.resume()) == [(u, d) for u, d in whole if d <= limit]
-                    assert bounded.exhausted and bounded.mu == INF
+                    assert settle_until(bounded) == [(u, d) for u, d in whole if d <= limit]
+                    assert bounded.peek() is None and bounded.mu == INF
 
 
 # ------------------------------------------------------------- cursor
@@ -234,33 +257,33 @@ def test_reverse_cursor_full_run():
     g = line_graph()
     cur = DijkstraCursor(g, 0, 2)
     assert cur.mu == 0.0
-    assert list(cur.resume()) == [(2, 0.0), (1, 1.0), (0, 2.0)]
-    assert cur.exhausted
+    assert settle_until(cur) == [(2, 0.0), (1, 1.0), (0, 2.0)]
+    assert cur.peek() is None
 
 
 def test_reverse_cursor_pause_and_resume():
     g = line_graph()
     cur = DijkstraCursor(g, 0, 2)
-    first = list(cur.resume(stop=lambda d: d >= 1))
+    first = settle_until(cur, stop=lambda d: d >= 1)
     assert first == [(2, 0.0)]
     assert cur.mu == 1.0
-    rest = list(cur.resume())
+    rest = settle_until(cur)
     assert rest == [(1, 1.0), (0, 2.0)]
 
 
 def test_reverse_cursor_isolated_source():
     g = line_graph()
     cur = DijkstraCursor(g, 0, 0)  # nothing reaches a
-    assert list(cur.resume()) == [(0, 0.0)]
-    assert cur.exhausted
+    assert settle_until(cur) == [(0, 0.0)]
+    assert cur.peek() is None
 
 
 def test_resuming_terminated_cursor_raises():
     g = line_graph()
     cur = DijkstraCursor(g, 0, 0)
-    list(cur.resume())
+    settle_until(cur)
     with pytest.raises(RuntimeError):
-        cur.resume()
+        cur.settle_next()
 
 
 def test_pause_resume_equals_single_run():
@@ -268,14 +291,11 @@ def test_pause_resume_equals_single_run():
     for seed in range(8):
         g = random_graph(30, 3, seed=seed, ell=1)
         src = int(rng.integers(30))
-        whole = list(DijkstraCursor(g, 0, src).resume())
+        whole = settle_until(DijkstraCursor(g, 0, src))
         cur = DijkstraCursor(g, 0, src)
         cuts = sorted(rng.uniform(0, 4, size=3))
         pieces = []
         for c in cuts:
-            if cur.exhausted:
-                break
-            pieces.extend(cur.resume(stop=lambda d, c=c: d >= c))
-        if not cur.exhausted:
-            pieces.extend(cur.resume())
+            pieces.extend(settle_until(cur, stop=lambda d, c=c: d >= c))
+        pieces.extend(settle_until(cur))
         assert pieces == whole

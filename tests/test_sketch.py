@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distinf import (
     CADS,
@@ -12,7 +14,6 @@ from distinf import (
     build_threshold_sketches,
     estimate_influence,
     estimate_union_size,
-    hip_threshold,
     influence_exact,
     load_sketches,
     make_harmonic,
@@ -21,9 +22,10 @@ from distinf import (
     save_sketches,
     structured_ranks,
     threshold_influence_estimate,
+    uniform_ranks,
 )
 
-from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph
+from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph, small_graphs
 
 INF = math.inf
 
@@ -194,36 +196,18 @@ def test_cads_supports_exact_thresholds_under_ties():
                 for u in range(40)
                 if ra.rank[u, i] > 0 and dists[i][v, u] < x
             )
+            in_sketch = sorted(r for r, d, _, _ in sketches[v].entries if d < x)
             want = ranks_below[k - 1] / ra.norm if len(ranks_below) >= k else 1.0
-            assert hip_threshold(sketches[v], x) == pytest.approx(want)
+            got = in_sketch[k - 1] / ra.norm if len(in_sketch) >= k else 1.0
+            assert got == want
 
 
-# ------------------------------------------------------------- HIP queries
+# ------------------------------------------------------------- estimation
 
 
 def hand_cads():
     # entries (rank, distance): (0.6, 0), (0.2, 1) with norm 10*1
     return CADS([(6, 0.0, 0, 0), (2, 1.0, 1, 0)], k=2, n=10, ell=1)
-
-
-def test_hip_threshold_fewer_than_k_is_domain_max():
-    assert hip_threshold(hand_cads(), 1.0) == 1.0
-
-
-def test_hip_threshold_selects_kth_smallest():
-    assert hip_threshold(hand_cads(), 2.0) == pytest.approx(0.6)
-
-
-def test_hip_threshold_k1():
-    assert hip_threshold(hand_cads(), 1.0, k=1) == pytest.approx(0.6)
-
-
-def test_hip_threshold_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        hip_threshold(hand_cads(), 0.0)
-
-
-# ------------------------------------------------------------- estimation
 
 
 def test_estimate_single_seed_hand_example():
@@ -312,6 +296,37 @@ def test_threshold_sketch_is_exact_bottom_k():
                 if dists[i][u, v] <= T
             )
             assert sk[u].ranks == in_range[:k]
+
+
+@st.composite
+def sketch_cases(draw):
+    """A small graph, k, T (integers tie with unit lengths) and permutation or uniform ranks."""
+    g = draw(small_graphs())
+    k = draw(st.integers(1, 4))
+    T = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.01, 4.0)))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        ra = structured_ranks(g.n, g.ell, draw(st.integers(1, g.ell)), seed)
+    else:
+        ra = uniform_ranks(g.n, g.ell, seed)
+    return g, ra, k, T
+
+
+@settings(max_examples=150, deadline=None)
+@given(sketch_cases())
+def test_threshold_sketches_are_ads_cut_at_T(case):
+    g, ra, k, T = case
+    dists = bf_all_pairs(g)
+    sketches = build_threshold_sketches(g, ra, k, T)
+    for v in range(g.n):
+        within = sorted(
+            int(ra.rank[u, i]) for i in range(g.ell) for u in range(g.n) if ra.rank[u, i] and dists[i][v, u] <= T
+        )
+        assert sketches[v].ranks == within[:k]
+    for i in range(g.ell):
+        cut, full = build_ads_instance(g, i, ra, k, limit=T), build_ads_instance(g, i, ra, k)
+        for v in range(g.n):
+            assert cut[v] == [e for e in full[v] if e[1] <= T]
 
 
 # ------------------------------------------------------------- union size
