@@ -32,7 +32,6 @@ from .sketch import (
     build_cads,
     build_threshold_sketches,
     estimate_influence,
-    estimate_union_size,
     load_sketches,
     merge_cads,
     save_sketches,
@@ -64,7 +63,6 @@ __all__ = [
     "build_cads",
     "build_threshold_sketches",
     "estimate_influence",
-    "estimate_union_size",
     "evaluate_prefixes",
     "influence_exact",
     "lazy_greedy",

@@ -86,7 +86,7 @@ class EdgeLengthModel:
 class Instance:
     """One weighted directed instance over nodes [0, n)."""
 
-    __slots__ = ("n", "tails", "heads", "weights", "_adj", "_radj")
+    __slots__ = ("n", "tails", "heads", "weights", "_radj")
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray):
         if not len(tails) == len(heads) == len(weights):
@@ -99,29 +99,17 @@ class Instance:
         self.tails = tails
         self.heads = heads
         self.weights = weights
-        self._adj = None
         self._radj = None
 
     @property
-    def adj(self) -> list[list[tuple[int, float]]]:
-        """Forward adjacency lists of (head, length), built on first use."""
-        if self._adj is None:
-            self._adj = _adjacency(self.n, self.tails, self.heads, self.weights)
-        return self._adj
-
-    @property
     def radj(self) -> list[list[tuple[int, float]]]:
-        """Transpose adjacency, built on first use."""
+        """Transpose adjacency lists of (tail, length), built on first use."""
         if self._radj is None:
-            self._radj = _adjacency(self.n, self.heads, self.tails, self.weights)
+            radj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+            for t, h, w in zip(self.tails.tolist(), self.heads.tolist(), self.weights.tolist()):
+                radj[h].append((t, w))
+            self._radj = radj
         return self._radj
-
-
-def _adjacency(n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> list[list[tuple[int, float]]]:
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for s, d, w in zip(src.tolist(), dst.tolist(), weights.tolist()):
-        adj[s].append((d, w))
-    return adj
 
 
 class MultiInstanceGraph:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from .decay import DecayFunction
-from .exact import GreedyTrace, _marg_gain_delta
+from .exact import GreedyTrace, _gain_sums
 from .graph import DijkstraCursor, MultiInstanceGraph, residual_update
 from .sketch import structured_ranks
 
@@ -300,7 +300,8 @@ class PPSState:
                 return None
             heapq.heappop(self.q_cands)
             if self.eps is not None:
-                exact = _marg_gain_delta(self.g, self.delta, u, self.alpha)
+                # unnormalized, like the estimate: x / ell * ell is not always x
+                exact = float(_gain_sums(self.g, self.delta, [u], self.alpha)[0])
                 if exact < (1.0 - self.eps) * live:
                     heapq.heappush(self.q_cands, (-exact, u))
                     return None

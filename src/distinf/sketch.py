@@ -324,29 +324,25 @@ def build_threshold_sketches(
     return [ThresholdSketch(b, k, g.n, g.ell, T, ranks.norm) for b in bottom]
 
 
-def estimate_union_size(sketches: Sequence[ThresholdSketch], k: int, norm: int) -> float:
-    """Number of distinct pairs covered by the seeds' sketches.
+def threshold_influence_estimate(sketches: Sequence[ThresholdSketch], ell: int) -> float:
+    """Influence (pair count averaged over instances) from threshold sketches.
 
-    Bottom-k cardinality estimate (k-1)/tau_k on the merged rank sets; exact
-    count when the union holds fewer than k distinct ranks.
+    The pair count is the bottom-k cardinality estimate (k-1)/tau_k on the
+    union of the seeds' rank sets, or the exact count when the union holds
+    fewer than k distinct ranks.
     """
+    if not sketches:
+        return 0.0
+    k, norm = sketches[0].k, sketches[0].norm
     union: set[int] = set()
     for sk in sketches:
         if sk.k != k:
             raise ValueError("sketches built with mismatched k")
         union.update(sk.ranks)
     if len(union) < k:
-        return float(len(union))
+        return len(union) / ell
     tau_k = heapq.nsmallest(k, union)[-1] / norm
-    return (k - 1) / tau_k
-
-
-def threshold_influence_estimate(sketches: Sequence[ThresholdSketch], ell: int) -> float:
-    """Influence (pair count averaged over instances) from threshold sketches."""
-    if not sketches:
-        return 0.0
-    first = sketches[0]
-    return estimate_union_size(sketches, first.k, first.norm) / ell
+    return (k - 1) / tau_k / ell
 
 
 _MAGIC = b"DSK1"
@@ -401,6 +397,8 @@ def _read_sketches(fh, path: str):
     magic, kind, model_code, n, ell, k, seed, T = _HEADER.unpack(fh.read(_HEADER.size))
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a sketch file")
+    if k < 1:
+        raise ValueError(f"{path}: sketch size k must be at least 1, got {k}")
     if kind not in (_KIND_CADS, _KIND_THRESHOLD) or model_code not in _MODEL_NAME:
         raise ValueError(f"{path}: unknown sketch kind or rank model")
     model = _MODEL_NAME[model_code]

@@ -16,7 +16,6 @@ from distinf import (
     build_cads,
     build_threshold_sketches,
     estimate_influence,
-    estimate_union_size,
     influence_exact,
     lazy_greedy,
     make_exponential,
@@ -25,6 +24,7 @@ from distinf import (
     marg_gain,
     run_pps_im,
     run_threshold_im,
+    threshold_influence_estimate,
     uniform_ranks,
 )
 from distinf.pps_im import PPSState
@@ -73,7 +73,7 @@ def test_c1_exact_oracle_equivalence():
             worst = max(worst, float(np.abs(res.delta[finite] - delta_bf[finite]).max()))
 
         for u in rng.choice(n, size=3, replace=False):
-            got_m = marg_gain(g, res, int(u), alpha)
+            got_m = marg_gain(g, res, [int(u)], alpha)[0]
             want_m = marg_gain_bf(g, delta_bf, int(u), alpha)
             worst = max(worst, abs(got_m - want_m))
     elapsed = time.time() - t0
@@ -145,15 +145,15 @@ def test_c4_oracle_estimator_concentration():
     bias_se = abs(arr.mean() - exact) / (arr.std(ddof=1) / math.sqrt(draws))
 
     T, seeds5 = 0.7, [0, 3, 11, 25, 40]
-    exact_pairs = influence_bf(g, seeds5, make_threshold(T)) * g.ell
+    exact_threshold = influence_bf(g, seeds5, make_threshold(T))
     uests = []
     for rep in range(draws):
         ra = uniform_ranks(g.n, g.ell, seed=9000 + rep)
         tsk = build_threshold_sketches(g, ra, k, T)
-        uests.append(estimate_union_size([tsk[s] for s in seeds5], k, ra.norm))
+        uests.append(threshold_influence_estimate([tsk[s] for s in seeds5], g.ell))
     uarr = np.array(uests)
     ucv = uarr.std(ddof=1) / uarr.mean()
-    ubias_se = abs(uarr.mean() - exact_pairs) / (uarr.std(ddof=1) / math.sqrt(draws))
+    ubias_se = abs(uarr.mean() - exact_threshold) / (uarr.std(ddof=1) / math.sqrt(draws))
 
     ok = cv <= 0.12 and bias_se <= 3 and ucv <= 1.3 / math.sqrt(k - 2) and ubias_se <= 3
     report("4 oracle-concentration", ok,

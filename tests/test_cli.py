@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_truncated_sketch_file_exits_2(edges_file, tmp_path, capsys):
     assert main(["oracle", "query", "--sketches", str(cut), "--seeds-file", str(seeds_file),
                  "--decay", "exp:1"]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
+    # threshold sketch file of a 2-node, 2-instance graph with k=0 in its header
+    sk = tmp_path / "k0.bin"
+    sk.write_bytes(struct.pack("<4sBBIIIQd", b"DSK1", 2, 0, 2, 2, 0, 1, 1.0) + struct.pack("<II", 0, 0))
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("0\n")
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", str(sk), "--seeds-file", str(seeds_file),
+                 "--decay", "threshold:1"]) == 2
+    err = capsys.readouterr().err
+    assert "k must be at least 1" in err and "Traceback" not in err
 
 
 def test_trace_stdout_matches_out_file(edges_file, tmp_path, capsys):

@@ -20,8 +20,8 @@ from distinf import (
     sample_instances,
     truncate,
 )
-from distinf import graph
-from distinf.exact import _marg_gain_delta, _singleton_gains
+from distinf import exact, graph
+from distinf.exact import _singleton_gains
 
 from bruteforce import (
     greedy_bf,
@@ -74,9 +74,9 @@ def test_marg_gain_after_first_seed():
     h = make_harmonic(1)
     res = ResidualState(g)
     add_seed(g, res, 0, h)
-    assert marg_gain(g, res, 1, h) == pytest.approx(2 / 3)
-    assert marg_gain(g, res, 2, h) == pytest.approx(2 / 3)
-    assert marg_gain(g, res, 0, h) == 0.0
+    assert marg_gain(g, res, [1], h)[0] == pytest.approx(2 / 3)
+    assert marg_gain(g, res, [2], h)[0] == pytest.approx(2 / 3)
+    assert marg_gain(g, res, [0], h)[0] == 0.0
 
 
 def test_add_seed_returns_realized_gain():
@@ -116,7 +116,7 @@ def test_marg_gain_equals_influence_difference():
         while u in seeds:
             u = int(rng.integers(25))
         want = influence_bf(g, seeds + [u], alpha) - influence_bf(g, seeds, alpha)
-        assert marg_gain(g, res, u, alpha) == pytest.approx(want, abs=1e-9)
+        assert marg_gain(g, res, [u], alpha)[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_residual_matches_bruteforce_distances():
@@ -165,13 +165,30 @@ def test_greedy_telescopes_and_is_submodular():
 
 
 def test_lazy_greedy_matches_plain_greedy():
+    decays = (make_harmonic(3), make_threshold(1.0), make_exponential(2), truncate(make_exponential(1), 0.2))
     for seed in range(5):
-        g = random_graph(40, 3, seed=seed, ell=3)
-        for alpha in (make_harmonic(3), make_threshold(1.0)):
-            trace = lazy_greedy(g, alpha, 10)
-            seeds, marginals = greedy_bf(g, alpha, 10)
-            assert trace.seeds() == seeds
-            assert trace.marginals() == pytest.approx(marginals, abs=1e-9)
+        for g in (random_graph(40, 3, seed=seed, ell=3), skewed_graph(40, 3, seed, 3)):
+            for alpha in decays:
+                trace = lazy_greedy(g, alpha, 10)
+                seeds, marginals = greedy_bf(g, alpha, 10)
+                assert trace.seeds() == seeds
+                assert trace.marginals() == pytest.approx(marginals, abs=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 50])  # 50 = n: every stale entry in one pass
+def test_lazy_greedy_independent_of_batch_size(monkeypatch, batch):
+    cases = [
+        (g, alpha)
+        for seed in range(3)
+        for g in (random_graph(50, 3, seed=seed, ell=3), skewed_graph(50, 3, seed, 4))
+        for alpha in (make_harmonic(3), make_threshold(1.0), truncate(make_exponential(1), 0.2))
+    ]
+    want = [lazy_greedy(g, alpha, 15) for g, alpha in cases]
+    monkeypatch.setattr(exact, "_BATCH", batch)
+    for (g, alpha), w in zip(cases, want):
+        got = lazy_greedy(g, alpha, 15)
+        assert got.seeds() == w.seeds()
+        assert got.marginals() == w.marginals()
 
 
 def test_singleton_gains_match_per_node_search():
@@ -179,7 +196,7 @@ def test_singleton_gains_match_per_node_search():
         for g in (random_graph(40, 3, seed=seed, ell=3), skewed_graph(40, 3, seed, 3)):
             delta = np.full((g.ell, g.n), INF)
             for alpha in (make_harmonic(3), make_threshold(1.0), make_exponential(2)):
-                want = [_marg_gain_delta(g, delta, u, alpha) / g.ell for u in range(g.n)]
+                want = [marg_gain_bf(g, delta, u, alpha) for u in range(g.n)]
                 np.testing.assert_allclose(_singleton_gains(g, alpha), want, rtol=1e-12, atol=0)
 
 
@@ -205,6 +222,7 @@ DECAYS = {
     "exp": make_exponential(1.5),
     "harmonic": make_harmonic(2.0),
     "truncated": truncate(make_exponential(1.0), 0.2),
+    "truncated-harmonic": truncate(make_harmonic(2.0), 0.25),
 }
 
 
@@ -248,6 +266,21 @@ def test_residual_update_matches_bruteforce(case):
         assert np.count_nonzero(delta != before) == len(inst)
 
 
+@settings(max_examples=150, deadline=None)
+@given(prefix_cases())
+def test_batched_marg_gain_matches_bruteforce(case):
+    g, seeds, name = case
+    alpha = DECAYS[name]
+    residual = ResidualState(g)
+    for s in seeds:
+        add_seed(g, residual, s, alpha)
+    candidates = [u for u in range(g.n) if u not in seeds]
+    got = marg_gain(g, residual, candidates, alpha)
+    delta = residual_delta_bf(g, seeds, alpha)
+    want = [marg_gain_bf(g, delta, u, alpha) for u in candidates]
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 def _kernel_residual(g, seeds, alpha):
     delta = np.full((g.ell, g.n), INF)
     for s in seeds:
@@ -281,6 +314,17 @@ def test_evaluate_prefixes_split_into_instance_blocks(monkeypatch):
             assert split == pytest.approx(whole[name], rel=1e-12)
 
 
+def test_marg_gain_split_into_row_blocks(monkeypatch):
+    g = random_graph(30, 3, seed=4, ell=3)
+    residual = ResidualState(g)
+    for s in (5, 11):
+        add_seed(g, residual, s, make_harmonic(2.0))
+    candidates = [0, 7, 29, 12, 3]
+    whole = marg_gain(g, residual, candidates, make_harmonic(2.0))
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 2 * g.n)  # 15 rows in 8 blocks, one candidate's rows split
+    assert marg_gain(g, residual, candidates, make_harmonic(2.0)) == pytest.approx(whole, rel=1e-12)
+
+
 def test_evaluate_prefixes_returns_python_floats():
     g = random_graph(20, 3, seed=1, ell=2)
     for alpha in DECAYS.values():
@@ -291,7 +335,7 @@ def test_evaluate_prefixes_builds_no_adjacency_lists():
     base = random_graph(30, 3, seed=2, ell=1)
     g = sample_instances(base, EdgeLengthModel.exponential(1.0, seed=3), 4)
     evaluate_prefixes(g, [1, 2, 3], make_harmonic(1))
-    assert all(inst._adj is None and inst._radj is None for inst in g.instances)
+    assert all(inst._radj is None for inst in g.instances)
 
 
 def test_trace_csv_roundtrip(tmp_path):

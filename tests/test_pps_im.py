@@ -244,9 +244,3 @@ def test_next_seed_adaptive_rejects_inflated_estimate():
     assert state.next_seed() is None  # 1.5 < (1 - 0.1) * 10
     # the candidate was requeued at its exact marginal
     assert (-1.5, 1) in state.q_cands
-
-
-def test_run_builds_no_forward_adjacency():
-    g = random_graph(60, 3, seed=5, ell=3)
-    run_pps_im(g, make_exponential(2), k=8, s_max=10, seed=1)
-    assert all(inst._adj is None for inst in g.instances)

@@ -13,7 +13,6 @@ from distinf import (
     build_cads,
     build_threshold_sketches,
     estimate_influence,
-    estimate_union_size,
     influence_exact,
     load_sketches,
     make_harmonic,
@@ -335,16 +334,16 @@ def test_threshold_sketches_are_ads_cut_at_T(case):
 def test_union_size_formula():
     from distinf import ThresholdSketch
 
-    norm = 100
-    sk = ThresholdSketch([10, 20, 25], k=3, n=50, ell=2, T=1.0)
-    assert estimate_union_size([sk], 3, norm) == pytest.approx((3 - 1) / 0.25)
+    sk = ThresholdSketch([10, 20, 25], k=3, n=50, ell=2, T=1.0)  # norm n * ell = 100
+    # bottom-k pair count (k - 1) / tau_k, averaged over the 2 instances
+    assert threshold_influence_estimate([sk], 2) == pytest.approx((3 - 1) / 0.25 / 2)
 
 
 def test_union_size_exact_below_k():
     from distinf import ThresholdSketch
 
     sk = ThresholdSketch([10, 20], k=64, n=50, ell=2, T=1.0)
-    assert estimate_union_size([sk], 64, 100) == 2.0
+    assert threshold_influence_estimate([sk], 2) == 1.0  # 2 pairs over 2 instances
 
 
 def test_union_size_k_mismatch():
@@ -353,7 +352,7 @@ def test_union_size_k_mismatch():
     a = ThresholdSketch([1], k=3, n=5, ell=1, T=1.0)
     b = ThresholdSketch([2], k=4, n=5, ell=1, T=1.0)
     with pytest.raises(ValueError):
-        estimate_union_size([a, b], 3, 5)
+        threshold_influence_estimate([a, b], 1)
 
 
 def test_threshold_influence_estimate_full_information():

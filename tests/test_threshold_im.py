@@ -114,9 +114,3 @@ def test_quality_close_to_exact_greedy_smoke():
     got = np.cumsum(approx.marginals()[:10])
     want = np.cumsum(exact.marginals()[:10])
     assert (got >= 0.9 * want).all()
-
-
-def test_run_builds_no_forward_adjacency():
-    g = random_graph(60, 3, seed=5, ell=3)
-    run_threshold_im(g, T=0.8, k=8, s_max=10, seed=1)
-    assert all(inst._adj is None for inst in g.instances)
