@@ -11,8 +11,12 @@ the model's domain size (n*ell for permutations).
 
 Combined sketches keep, per node, the rank-distance pairs whose rank is below
 the k-th smallest among strictly closer pairs; distance ties are broken by
-(node, instance) index.  A threshold sketch of a node is the k smallest
-ranks among its per-instance all-distances sketch entries within T.
+(node, instance) index.  A combined sketch is stored as parallel arrays
+(rank, distance, node, instance) sorted by that key.  One vectorized union
+filter, `merge_cads`, forms both a node's combined sketch from its
+per-instance sketches and the union sketch of a query's seed set.  A
+threshold sketch of a node is the k smallest ranks among its per-instance
+all-distances sketch entries within T.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +41,9 @@ Entry = tuple[int, float, int, int]
 
 UNIFORM_DOMAIN = 1 << 53
 
-
-def _entry_key(e: Entry) -> tuple[float, int, int]:
-    return (e[1], e[2], e[3])
+# Positive-distance entries that the union filter cuts against one threshold
+# before checking the survivors one by one.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,16 @@ class RankAssignment:
     rank: np.ndarray
     norm: int
 
+    def ranked_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays (rank, node, instance) of the ranked pairs in increasing rank order."""
+        flat = self.rank.ravel()
+        pair = np.flatnonzero(flat)
+        pair = pair[np.argsort(flat[pair])]
+        return flat[pair], pair // self.ell, pair % self.ell
+
     def sources(self) -> list[tuple[int, int, int]]:
         """Ranked (rank, node, instance) triples in increasing rank order."""
-        v_idx, i_idx = np.nonzero(self.rank)
-        r = self.rank[v_idx, i_idx]
-        order = np.argsort(r)
-        return list(zip(r[order].tolist(), v_idx[order].tolist(), i_idx[order].tolist()))
-
-    def pair_of_rank(self) -> dict[int, tuple[int, int]]:
-        return {r: (v, i) for r, v, i in self.sources()}
+        return list(zip(*(a.tolist() for a in self.ranked_pairs())))
 
     def normalized_matrix(self) -> np.ndarray:
         """(ell, n) matrix of normalized ranks; requires every pair ranked."""
@@ -129,46 +133,57 @@ def build_ads_instance(
     order and push no node beyond `limit`; a search is pruned at nodes that
     already hold k entries strictly closer (by the tie-broken key) than the
     current settle distance.  So the entries of a node within any distance
-    x <= limit include the k smallest ranks within x.
+    x <= limit include the k smallest ranks within x.  Each node's entries
+    come in increasing rank order; `merge_cads` sorts them by key.
     """
     radj = g.instances[instance].radj
     col = ranks.rank[:, instance]
     ranked = np.flatnonzero(col)
     ranked = ranked[np.argsort(col[ranked])]
     entries: list[list[Entry]] = [[] for _ in range(g.n)]
+    # per node, a max-heap of its k smallest keys (d, src), stored negated;
+    # the instance is fixed, so (d, src) orders like the entry key
     keys: list[list[tuple[float, int]]] = [[] for _ in range(g.n)]
-    push, pop = heapq.heappush, heapq.heappop
+    # the distance of a node's k-th smallest key once it holds k: a later
+    # source reaching it from farther away would be pruned, so is not pushed
+    cap = [INF] * g.n
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
     for r, src in zip(col[ranked].tolist(), ranked.tolist()):
-        dist: dict[int, float] = {}
+        dist = {src: 0.0}  # tentative distances; a node is pushed only when its distance falls
         heap = [(0.0, src)]
         while heap:
             d, v = pop(heap)
-            if v in dist:
+            if d > dist[v]:
                 continue
-            dist[v] = d
-            key = (d, src)  # the instance is fixed, so (d, src) orders like the entry key
             kv = keys[v]
-            pos = bisect_left(kv, key)
-            if pos >= k:
+            key = (-d, -src)
+            if len(kv) < k:
+                push(kv, key)
+            elif key > kv[0]:
+                replace(kv, key)
+            else:
                 continue  # k smaller ranks already strictly closer: prune
-            insort(kv, key)
+            if len(kv) == k:
+                cap[v] = -kv[0][0]
             entries[v].append((r, d, src, instance))
             for u, w in radj[v]:
-                if u not in dist:
-                    du = d + w
-                    if du <= limit:
-                        push(heap, (du, u))
-    for lst in entries:
-        lst.sort(key=_entry_key)
+                du = d + w
+                if du <= cap[u] and du < dist.get(u, INF) and du <= limit:
+                    dist[u] = du
+                    push(heap, (du, u))
     return entries
 
 
-@dataclass
+@dataclass(eq=False)
 class CADS:
-    """Combined all-distances sketch of one node: entries sorted by the
-    tie-broken distance key, at most min(ell, k) of them at distance 0."""
+    """Combined all-distances sketch of one node: parallel arrays (rank,
+    distance, node, instance) sorted by the tie-broken distance key, at most
+    min(ell, k) entries at distance 0."""
 
-    entries: list[Entry]
+    rank: np.ndarray
+    dist: np.ndarray
+    node: np.ndarray
+    instance: np.ndarray
     k: int
     n: int
     ell: int
@@ -178,59 +193,90 @@ class CADS:
         if self.norm == 0:
             self.norm = self.n * self.ell
 
+    @property
+    def entries(self) -> list[Entry]:
+        """The entries as (rank, distance, node, instance) tuples in key order."""
+        return list(
+            zip(self.rank.tolist(), self.dist.tolist(), self.node.tolist(), self.instance.tolist())
+        )
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rank)
+
+
+def _entry_columns(entries: Sequence[Entry]) -> tuple[np.ndarray, ...]:
+    r, d, v, i = zip(*entries) if entries else ((), (), (), ())
+    return (
+        np.array(r, dtype=np.int64),
+        np.array(d, dtype=np.float64),
+        np.array(v, dtype=np.int64),
+        np.array(i, dtype=np.int64),
+    )
 
 
 def merge_cads(
-    lists: Sequence, k: int, n: int | None = None, ell: int | None = None, norm: int | None = None
+    parts: Sequence, k: int, n: int | None = None, ell: int | None = None, norm: int | None = None
 ) -> CADS:
-    """Merge sorted rank-distance lists into one combined sketch.
+    """Union filter: one combined sketch from the entries of all parts.
 
-    Inputs are per-instance sketches of one node, or combined sketches when
-    forming the union over a seed set; the result is independent of merge
-    order.  Distance-0 entries keep the k smallest ranks outright; duplicate
-    ranks (the same pair seen from several inputs) keep their closest
-    occurrence only.
+    Parts are a node's per-instance entry lists (in any order) at build time,
+    or the seeds' combined sketches when forming a query's union; the result
+    does not depend on part order.  A repeated rank (one pair seen from
+    several parts) keeps its closest occurrence only; distance-0 entries keep
+    the k smallest ranks outright; a positive-distance entry is kept when its
+    rank is below the k-th smallest kept rank ahead of it in key order.
     """
-    seqs = []
-    for item in lists:
-        if isinstance(item, CADS):
+    cols = []
+    raw: list[Entry] = []
+    for part in parts:
+        if isinstance(part, CADS):
             if n is None:
-                n, ell, norm = item.n, item.ell, item.norm
-            seqs.append(item.entries)
+                n, ell, norm = part.n, part.ell, part.norm
+            cols.append((part.rank, part.dist, part.node, part.instance))
         else:
-            seqs.append(item)
+            raw.extend(part)
     if n is None or ell is None:
         raise ValueError("merge_cads needs n and ell for raw entry lists")
-    for seq in seqs:
-        for a, b in zip(seq, seq[1:]):
-            if _entry_key(a) > _entry_key(b):
-                raise ValueError("merge input not sorted by distance key")
-    out: list[Entry] = []
-    kept: list[int] = []  # max-heap (negated) of the k smallest kept ranks
-    seen: set[int] = set()
-    zero = sorted((e for seq in seqs for e in seq if e[1] == 0.0), key=lambda e: e[0])[:k]
-    zero.sort(key=_entry_key)
-    for e in zero:
-        seen.add(e[0])
-        out.append(e)
-        heapq.heappush(kept, -e[0])
-    # positive-distance entries pass when their rank is under the k-th
-    # smallest among the strictly closer kept pairs
-    for e in heapq.merge(*seqs, key=_entry_key):
-        r = e[0]
-        if e[1] == 0.0 or r in seen:
-            continue
-        if len(kept) < k:
-            seen.add(r)
-            out.append(e)
-            heapq.heappush(kept, -r)
-        elif r < -kept[0]:
-            seen.add(r)
-            out.append(e)
-            heapq.heapreplace(kept, -r)
-    return CADS(out, k, n, ell, norm if norm is not None else n * ell)
+    if raw or not cols:
+        cols.append(_entry_columns(raw))
+    rank, dist, node, inst = (np.concatenate(c) for c in zip(*cols))
+
+    # The threshold never rises above the k-th smallest distance-0 rank, so
+    # every larger rank is cut first.
+    zero_ranks = rank[dist == 0.0]
+    if len(zero_ranks) > k:
+        zero_ranks = np.sort(zero_ranks)
+        zero_ranks = zero_ranks[np.diff(zero_ranks, prepend=0) != 0]  # distinct; ranks are >= 1
+    if len(zero_ranks) > k:
+        cut = rank <= zero_ranks[k - 1]
+        rank, dist, node, inst = rank[cut], dist[cut], node[cut], inst[cut]
+    # a repeated rank (one pair) keeps its closest occurrence
+    order = np.lexsort((dist, rank))
+    r = rank[order]
+    first = np.ones(len(r), dtype=bool)
+    first[1:] = r[1:] != r[:-1]
+    order = order[first]
+    order = order[np.lexsort((inst[order], node[order], dist[order]))]
+    r = rank[order]
+    # the distance-0 entries lead the key order, and after the cut all are kept
+    nz = int(np.count_nonzero(dist[order] == 0.0))
+    picked = list(range(nz))  # positions in key order
+    kept = [-x for x in r[:nz].tolist()]  # max-heap (negated) of the k smallest kept ranks
+    heapq.heapify(kept)
+    for start in range(nz, len(r), _CHUNK):
+        seg = r[start : start + _CHUNK]
+        # the threshold only falls, so ranks not below it now are all rejected
+        pos = np.arange(len(seg)) if len(kept) < k else np.flatnonzero(seg < -kept[0])
+        for j, x in zip(pos.tolist(), seg[pos].tolist()):
+            if len(kept) < k:
+                heapq.heappush(kept, -x)
+            elif x < -kept[0]:
+                heapq.heapreplace(kept, -x)
+            else:
+                continue
+            picked.append(start + j)
+    sel = order[picked]
+    return CADS(rank[sel], dist[sel], node[sel], inst[sel], k, n, ell, norm if norm is not None else n * ell)
 
 
 def build_cads(
@@ -249,7 +295,7 @@ def build_cads(
 
 
 def estimate_influence(
-    sketches: Mapping[int, CADS] | Sequence[CADS],
+    sketches: Sequence[CADS],
     seeds: Sequence[int],
     alpha: DecayFunction,
 ) -> float:
@@ -265,20 +311,17 @@ def estimate_influence(
         return 0.0
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seeds")
-    seed_sketches = []
     for s in seeds:
-        try:
-            sk = sketches[s]
-        except (KeyError, IndexError):
-            raise ValueError(f"missing sketch for seed {s}") from None
-        seed_sketches.append(sk)
+        if not 0 <= s < len(sketches):
+            raise ValueError(f"seed {s} out of range [0, {len(sketches)})")
+    seed_sketches = [sketches[s] for s in seeds]
     first = seed_sketches[0]
     k, norm = first.k, first.norm
     union = merge_cads(seed_sketches, k)
     total = 0.0
     kept: list[int] = []  # max-heap (negated) of the k smallest preceding ranks
     fn = alpha.fn
-    for r, d, _, _ in union.entries:
+    for r, d in zip(union.rank.tolist(), union.dist.tolist()):
         if d > 0:
             tau = (-kept[0] / norm) if len(kept) == k else 1.0
             total += fn(d) / tau
@@ -351,6 +394,8 @@ _KIND_THRESHOLD = 2
 _MODEL_CODE = {"permutation": 0, "uniform": 1}
 _MODEL_NAME = {v: k for k, v in _MODEL_CODE.items()}
 _HEADER = struct.Struct("<4sBBIIIQd")
+_CADS_RECORD = np.dtype([("rank", "<u8"), ("dist", "<f8")])
+_THRESHOLD_RECORD = np.dtype("<u8")
 
 
 def save_sketches(
@@ -367,38 +412,54 @@ def save_sketches(
         fh.write(
             _HEADER.pack(_MAGIC, kind, _MODEL_CODE[rank_model], first.n, first.ell, first.k, seed, T)
         )
-        if kind == _KIND_CADS:
-            rec = struct.Struct("<Qd")
-            for sk in sketches:
-                fh.write(struct.pack("<I", len(sk.entries)))
-                for r, d, _, _ in sk.entries:
-                    fh.write(rec.pack(r, d))
-        else:
-            rec = struct.Struct("<Q")
-            for sk in sketches:
-                fh.write(struct.pack("<I", len(sk.ranks)))
-                for r in sk.ranks:
-                    fh.write(rec.pack(r))
+        for sk in sketches:
+            if kind == _KIND_CADS:
+                rec = np.empty(len(sk), _CADS_RECORD)
+                rec["rank"], rec["dist"] = sk.rank, sk.dist
+            else:
+                rec = np.asarray(sk.ranks, dtype=_THRESHOLD_RECORD)
+            fh.write(struct.pack("<I", len(rec)))
+            fh.write(rec.tobytes())
 
 
 def load_sketches(path: str):
     """Read a sketch file back; returns (sketches, ranks, seed).
 
-    A truncated or otherwise malformed file raises ValueError.
+    A truncated or otherwise malformed file raises ValueError, and so does a
+    combined sketch record with a NaN, infinite or negative distance, an
+    unknown rank, a rank repeated within its sketch, or one out of key order.
     """
     with open(path, "rb") as fh:
         try:
-            return _read_sketches(fh, path)
-        except struct.error:  # a read came back short
+            header = _HEADER.unpack(fh.read(_HEADER.size))
+        except struct.error:  # the read came back short
             raise ValueError(f"{path}: truncated sketch file") from None
+        return _read_sketches(fh.read(), header, path)
 
 
-def _read_sketches(fh, path: str):
-    magic, kind, model_code, n, ell, k, seed, T = _HEADER.unpack(fh.read(_HEADER.size))
+def _read_records(data: bytes, n: int, dtype: np.dtype, path: str) -> list[np.ndarray]:
+    """The n length-prefixed record arrays that follow the header."""
+    out, pos = [], 0
+    for _ in range(n):
+        end = pos + 4
+        if end > len(data):
+            raise ValueError(f"{path}: truncated sketch file")
+        count = int.from_bytes(data[pos:end], "little")
+        pos = end + count * dtype.itemsize
+        if pos > len(data):
+            raise ValueError(f"{path}: truncated sketch file")
+        out.append(np.frombuffer(data, dtype, count, end))
+    return out
+
+
+def _read_sketches(data: bytes, header: tuple, path: str):
+    magic, kind, model_code, n, ell, k, seed, T = header
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a sketch file")
     if k < 1:
         raise ValueError(f"{path}: sketch size k must be at least 1, got {k}")
+    if n < 1 or ell < 1:
+        raise ValueError(f"{path}: sketch file needs n, ell >= 1, got n={n} ell={ell}")
     if kind not in (_KIND_CADS, _KIND_THRESHOLD) or model_code not in _MODEL_NAME:
         raise ValueError(f"{path}: unknown sketch kind or rank model")
     model = _MODEL_NAME[model_code]
@@ -408,26 +469,30 @@ def _read_sketches(fh, path: str):
         ranks = assign_ranks(n, ell, k, seed)
     else:
         ranks = structured_ranks(n, ell, ell, seed)
-    if kind == _KIND_CADS:
-        pair_of = ranks.pair_of_rank()
-        rec = struct.Struct("<Qd")
-        sketches: list = []
-        for _ in range(n):
-            (count,) = struct.unpack("<I", fh.read(4))
-            entries: list[Entry] = []
-            for _ in range(count):
-                r, d = rec.unpack(fh.read(rec.size))
-                try:
-                    v, i = pair_of[r]
-                except KeyError:
-                    raise ValueError(f"{path}: rank {r} belongs to no node-instance pair") from None
-                entries.append((r, d, v, i))
-            sketches.append(CADS(entries, k, n, ell, ranks.norm))
-        return sketches, ranks, seed
-    rec = struct.Struct("<Q")
-    tsketches: list = []
-    for _ in range(n):
-        (count,) = struct.unpack("<I", fh.read(4))
-        rs = [rec.unpack(fh.read(rec.size))[0] for _ in range(count)]
-        tsketches.append(ThresholdSketch(rs, k, n, ell, T, ranks.norm))
-    return tsketches, ranks, seed
+    if kind == _KIND_THRESHOLD:
+        recs = _read_records(data, n, _THRESHOLD_RECORD, path)
+        return [ThresholdSketch(rs.tolist(), k, n, ell, T, ranks.norm) for rs in recs], ranks, seed
+    table, table_node, table_inst = ranks.ranked_pairs()
+    sketches = []
+    for v, rec in enumerate(_read_records(data, n, _CADS_RECORD, path)):
+        rank, dist = rec["rank"].astype(np.int64), rec["dist"].copy()
+        bad = np.flatnonzero(~(np.isfinite(dist) & (dist >= 0)))
+        if len(bad):
+            raise ValueError(f"{path}: sketch of node {v} has distance {float(dist[bad[0]])!r}")
+        pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
+        bad = np.flatnonzero(table[pos] != rank)
+        if len(bad):
+            raise ValueError(
+                f"{path}: sketch of node {v} holds rank {rec['rank'][bad[0]]}, "
+                "which belongs to no node-instance pair"
+            )
+        node, inst = table_node[pos], table_inst[pos]
+        sr = np.sort(rank)
+        bad = np.flatnonzero(sr[1:] == sr[:-1])
+        if len(bad):
+            raise ValueError(f"{path}: sketch of node {v} repeats rank {sr[bad[0]]}")
+        d0, d1, v0, v1, i0, i1 = dist[:-1], dist[1:], node[:-1], node[1:], inst[:-1], inst[1:]
+        if not ((d0 < d1) | ((d0 == d1) & ((v0 < v1) | ((v0 == v1) & (i0 < i1))))).all():
+            raise ValueError(f"{path}: sketch of node {v} has records out of key order")
+        sketches.append(CADS(rank, dist, node, inst, k, n, ell, ranks.norm))
+    return sketches, ranks, seed

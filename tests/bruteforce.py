@@ -132,6 +132,34 @@ def cads_bf(g, ranks, k, v, dists=None):
     return kept
 
 
+def union_bf(g, ranks, k, seeds, dists):
+    """Union sketch of a seed set straight from its defining rule, in key order.
+
+    A ranked pair sits at its minimum distance over the seeds.  Distance-0
+    pairs keep the k smallest ranks; a positive-distance pair is kept when its
+    rank is below the k-th smallest rank over all strictly closer pairs.
+    """
+    pairs = []
+    for i in range(g.ell):
+        for u in range(g.n):
+            r = int(ranks.rank[u, i])
+            d = min(dists[i][s, u] for s in seeds)
+            if r and d < INF:
+                pairs.append((r, d, u, i))
+    pairs.sort(key=lambda e: (e[1], e[2], e[3]))
+    zero = sorted(e[0] for e in pairs if e[1] == 0.0)[:k]
+    kept = []
+    for j, (r, d, u, i) in enumerate(pairs):
+        if d == 0.0:
+            if r in zero:
+                kept.append((r, d, u, i))
+            continue
+        closer = sorted(e[0] for e in pairs[:j])
+        if len(closer) < k or r < closer[k - 1]:
+            kept.append((r, d, u, i))
+    return kept
+
+
 def pps_estimate_bf(contribs, rank_of, tau):
     """Inverse-probability estimate from explicit contributions.
 

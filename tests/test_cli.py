@@ -148,6 +148,63 @@ def test_truncated_sketch_file_exits_2(edges_file, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def _corrupt_last_records(data, corrupt):
+    """Apply corrupt(records) to the (rank, distance) records of node 0 in a
+    combined sketch file and return the new bytes."""
+    header = struct.calcsize("<4sBBIIIQd")
+    (count,) = struct.unpack_from("<I", data, header)
+    start = header + 4
+    recs = [list(struct.unpack_from("<Qd", data, start + 16 * j)) for j in range(count)]
+    corrupt(recs)
+    body = b"".join(struct.pack("<Qd", r, d) for r, d in recs)
+    return data[:start] + body + data[start + 16 * count:]
+
+
+def _set_last_distance(value):
+    def corrupt(recs):
+        recs[-1][1] = value
+    return corrupt
+
+
+def _swap_last_two(recs):
+    recs[-2], recs[-1] = recs[-1], recs[-2]
+
+
+def _repeat_rank(recs):
+    recs[-1][0] = recs[-2][0]
+
+
+def _unknown_rank(recs):
+    recs[-1][0] = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_set_last_distance(math.nan), "distance nan"),
+        (_set_last_distance(math.inf), "distance inf"),
+        (_set_last_distance(-1.0), "distance -1.0"),
+        (_swap_last_two, "out of key order"),
+        (_repeat_rank, "repeats rank"),
+        (_unknown_rank, f"rank {2**64 - 1}, which belongs to no node-instance pair"),
+    ],
+    ids=["nan", "inf", "negative", "out-of-order", "repeated-rank", "unknown-rank"],
+)
+def test_malformed_sketch_record_exits_2(edges_file, tmp_path, capsys, corrupt, message):
+    sk = tmp_path / "sk.bin"
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                 "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_corrupt_last_records(sk.read_bytes(), corrupt))
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("0\n")
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(seeds_file),
+                 "--decay", "exp:1"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "node 0" in err and err.count("\n") == 1
+
+
 def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
     # threshold sketch file of a 2-node, 2-instance graph with k=0 in its header
     sk = tmp_path / "k0.bin"
@@ -159,6 +216,19 @@ def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
                  "--decay", "threshold:1"]) == 2
     err = capsys.readouterr().err
     assert "k must be at least 1" in err and "Traceback" not in err
+
+
+def test_sketch_file_with_no_nodes_exits_2(tmp_path, capsys):
+    # combined sketch file header with the uniform rank model and n=0
+    sk = tmp_path / "n0.bin"
+    sk.write_bytes(struct.pack("<4sBBIIIQd", b"DSK1", 1, 1, 0, 2, 4, 1, math.nan))
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("0\n")
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", str(sk), "--seeds-file", str(seeds_file),
+                 "--decay", "exp:1"]) == 2
+    err = capsys.readouterr().err
+    assert "n, ell >= 1" in err and "Traceback" not in err
 
 
 def test_trace_stdout_matches_out_file(edges_file, tmp_path, capsys):

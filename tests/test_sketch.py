@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distinf import (
-    CADS,
     MultiInstanceGraph,
     assign_ranks,
     build_ads_instance,
@@ -15,6 +15,7 @@ from distinf import (
     estimate_influence,
     influence_exact,
     load_sketches,
+    make_exponential,
     make_harmonic,
     make_threshold,
     merge_cads,
@@ -24,7 +25,7 @@ from distinf import (
     uniform_ranks,
 )
 
-from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph, small_graphs
+from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph, small_graphs, union_bf
 
 INF = math.inf
 
@@ -57,9 +58,8 @@ def test_assign_ranks_block_structure():
     # two blocks of size n=2: ranks 1..4, each block a permutation of the nodes
     ranked = ra.rank[ra.rank > 0]
     assert sorted(ranked) == [1, 2, 3, 4]
-    pair_of = ra.pair_of_rank()
     for b in range(2):
-        block = [pair_of[r][0] for r in (b * 2 + 1, b * 2 + 2)]
+        block = [int(np.argwhere(ra.rank == r)[0, 0]) for r in (b * 2 + 1, b * 2 + 2)]
         assert sorted(block) == [0, 1]
     # per node: 2 distinct instances selected out of 3
     for v in range(2):
@@ -88,9 +88,19 @@ def test_ads_hand_example():
     g = line_graph()
     ra = forced_ranks(3, 1, {(0, 0): 2, (1, 0): 1, (2, 0): 3})
     ads = build_ads_instance(g, 0, ra, k=2)
-    # ADS(a): own entry at 0 plus b at distance 1; c is excluded because its
-    # rank is not below the 2nd-smallest closer rank
-    assert [(r, d) for r, d, _, _ in ads[0]] == [(2, 0.0), (1, 1.0)]
+    # ADS(a), in rank order: b at distance 1 plus its own entry at 0; c is
+    # excluded because its rank is not below the 2nd-smallest closer rank
+    assert [(r, d) for r, d, _, _ in ads[0]] == [(1, 1.0), (2, 0.0)]
+
+
+def test_ads_distance_tie_is_broken_by_node():
+    # node 0 reaches nodes 1 and 2 at distance 1; node 2's pair has the
+    # smallest rank and is searched first, but node 1's pair is closer by the
+    # tie-broken key (1, 1) < (1, 2), so it is not pruned even with k = 1
+    g = MultiInstanceGraph.from_arrays(3, [0, 0], [1, 2])
+    ra = forced_ranks(3, 1, {(0, 0): 3, (1, 0): 2, (2, 0): 1})
+    ads = build_ads_instance(g, 0, ra, k=1)
+    assert sorted((r, d, u) for r, d, u, _ in ads[0]) == [(1, 1.0, 2), (2, 1.0, 1), (3, 0.0, 0)]
 
 
 def test_ads_k_equals_n_keeps_all_reachable():
@@ -137,7 +147,7 @@ def test_merge_single_list_is_identity():
     ra = assign_ranks(3, 1, 2, seed=4)
     ads = build_ads_instance(g, 0, ra, k=2)
     merged = merge_cads([ads[0]], 2, n=3, ell=1)
-    assert merged.entries == ads[0]
+    assert merged.entries == sorted(ads[0], key=lambda e: (e[1], e[2], e[3]))
 
 
 def test_merge_keeps_smaller_rank_at_distance_zero():
@@ -163,10 +173,40 @@ def test_merge_order_independent():
         assert a.entries == b.entries == c.entries
 
 
-def test_merge_rejects_unsorted_input():
-    bad = [(1, 2.0, 0, 0), (2, 1.0, 1, 0)]
-    with pytest.raises(ValueError):
-        merge_cads([bad], 2, n=2, ell=1)
+@st.composite
+def union_cases(draw):
+    """Combined sketches of a small graph under either rank model, and a seed set."""
+    g = draw(small_graphs())
+    k = draw(st.integers(1, 4))
+    model = draw(st.sampled_from(["permutation", "uniform"]))
+    sketches, ra = build_cads(g, k, draw(st.integers(0, 2**16)), rank_model=model)
+    seeds = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=min(g.n, 4), unique=True))
+    return g, ra, k, sketches, seeds
+
+
+def hip_bf(union, k, norm, ell, n_seeds, alpha):
+    """The HIP estimate from a key-ordered union sketch, by its definition."""
+    total = 0.0
+    for j, (_, d, _, _) in enumerate(union):
+        if d > 0:
+            ahead = sorted(e[0] for e in union[:j])
+            tau = ahead[k - 1] / norm if len(ahead) >= k else 1.0
+            total += alpha(d) / tau
+    return n_seeds * alpha.alpha0 + total / ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(union_cases())
+def test_union_sketch_matches_bruteforce_in_every_order(case):
+    g, ra, k, sketches, seeds = case
+    want = union_bf(g, ra, k, seeds, bf_all_pairs(g))
+    for order in itertools.permutations(seeds):
+        got = merge_cads([sketches[s] for s in order], k).entries
+        assert [(r, u, i) for r, _, u, i in got] == [(r, u, i) for r, _, u, i in want]
+        assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
+    for alpha in (make_harmonic(1), make_exponential(1), make_threshold(1)):
+        ref = hip_bf(want, k, ra.norm, g.ell, len(seeds), alpha)
+        assert estimate_influence(sketches, seeds, alpha) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_cads_at_most_k_entries_share_distance_zero():
@@ -206,11 +246,12 @@ def test_cads_supports_exact_thresholds_under_ties():
 
 def hand_cads():
     # entries (rank, distance): (0.6, 0), (0.2, 1) with norm 10*1
-    return CADS([(6, 0.0, 0, 0), (2, 1.0, 1, 0)], k=2, n=10, ell=1)
+    return merge_cads([[(6, 0.0, 0, 0), (2, 1.0, 1, 0)]], 2, n=10, ell=1)
 
 
 def test_estimate_single_seed_hand_example():
-    sk = {0: CADS([(6, 0.0, 0, 0), (2, 1.0, 1, 0)], k=2, n=10, ell=1)}
+    sk = [hand_cads()]
+    assert sk[0].entries == [(6, 0.0, 0, 0), (2, 1.0, 1, 0)]
     got = estimate_influence(sk, [0], make_harmonic(1))
     assert got == pytest.approx(1.0 + 0.5 / 1.0)
 
@@ -225,6 +266,9 @@ def test_estimate_full_seed_set_is_exact():
 def test_estimate_missing_sketch_errors():
     with pytest.raises(ValueError):
         estimate_influence({0: hand_cads()}, [0, 1], make_harmonic(1))
+    for seed in (-1, 1):  # -1 must not index the last sketch
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_influence([hand_cads()], [seed], make_harmonic(1))
 
 
 def test_estimate_unbiased_over_rank_draws():
