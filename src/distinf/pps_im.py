@@ -16,7 +16,15 @@ improved residual distances demote or trim index entries and lower pair
 priorities.
 Reverse Dijkstras pause when the next contribution falls under r * tau and
 resume when tau has dropped enough; a pair whose next contribution cannot be
-positive is terminated for good.
+positive is terminated for good.  A pair's first scan is its own node at
+distance 0 and its second is at its shortest in-edge, so its `DijkstraCursor`
+is built only when it scans past its own node; most pairs never do.
+
+The loops touch one cell at a time, so the per-cell state (estimates, pair
+priorities, cached alpha(delta), ranks, seed flags) is kept in Python lists:
+a Python float read or write costs a fraction of a numpy scalar access, and
+heap keys compare as Python floats.  The residual `delta` stays an (ell, n)
+array because `residual_update` and the exact check read it whole.
 """
 
 from __future__ import annotations
@@ -65,6 +73,16 @@ def _first_at_most(entries: list, val: float, lo: int = 0) -> int:
     return lo
 
 
+def _shortest_in_edges(g: MultiInstanceGraph) -> list[list[float]]:
+    """Per instance, every node's shortest in-edge length, self-loops
+    ignored; inf for a node with none."""
+    out = np.full((g.ell, g.n), INF)
+    for row, inst in zip(out, g.instances):
+        keep = inst.tails != inst.heads
+        np.minimum.at(row, inst.heads[keep], inst.weights[keep])
+    return out.tolist()
+
+
 class PPSState:
     """Sampling threshold, residual distances, inverted sample index, and the
     three lazy priority queues.
@@ -73,7 +91,9 @@ class PPSState:
     scan order; `hm[pair]` is the count of H entries and `ml[pair]` the count
     of H plus M entries, so positions < hm are H, positions in [hm, ml) are M,
     and positions >= ml are L.  Entries with non-positive contribution are
-    trimmed and never return.
+    trimmed and never return.  A pair has an index list once it has scanned
+    its own node, and a cursor once it has scanned a second one.  Per-cell
+    state is indexed [instance][node].
     """
 
     def __init__(
@@ -91,17 +111,21 @@ class PPSState:
             raise ValueError("k must be at least 1")
         if not 0 < lam < 1:
             raise ValueError("lambda must be in (0, 1)")
+        if eps is not None and not 0 < eps < 1:
+            raise ValueError(f"adaptive accuracy eps must be in (0, 1), got {eps}")
         self.g = g
         self.alpha = alpha
         self.k = k
         self.lam = lam
         self.eps = eps  # adaptive accuracy; None for fixed-k selection
         n, ell = g.n, g.ell
-        self.rank_norm = structured_ranks(n, ell, ell, seed).normalized_matrix()  # (ell, n)
+        rank_norm = structured_ranks(n, ell, ell, seed).normalized_matrix()  # (ell, n)
+        self.rank_norm = rank_norm.tolist()
         self.delta = np.full((ell, n), INF)
-        self.alpha_delta = np.zeros((ell, n))  # alpha(delta), cached
-        self.est_h = np.zeros(n)
-        self.est_m = np.zeros(n, dtype=np.int64)
+        self.alpha_delta = [[0.0] * n for _ in range(ell)]  # alpha(delta), cached
+        self.est_h = [0.0] * n
+        self.est_m = [0] * n
+        self.in_edge = _shortest_in_edges(g)
         self.index: dict[Pair, list[tuple[int, float, float]]] = {}
         self.hm: dict[Pair, int] = {}
         self.ml: dict[Pair, int] = {}
@@ -112,15 +136,15 @@ class PPSState:
             raise ValueError("tau0 must be positive")
         # Pair priorities: the sampling threshold at which the pair's reverse
         # Dijkstra would admit its next scanned node.  They only decrease.
-        self.pair_prio = a0 / self.rank_norm
+        self.pair_prio = (a0 / rank_norm).tolist()
         self.q_pairs: list[tuple[float, int, int]] = [
-            (-self.pair_prio[i, v], v, i) for i in range(ell) for v in range(n)
+            (-p, v, i) for i, row in enumerate(self.pair_prio) for v, p in enumerate(row)
         ]
         heapq.heapify(self.q_pairs)
         self.q_cands: list[tuple[float, int]] = []
         self.q_hml: list[tuple[float, int, int]] = []
         self.reclass: dict[Pair, float] = {}
-        self.is_seed = np.zeros(n, dtype=bool)
+        self.is_seed = [False] * n
         self.seeds: list[int] = []
         self.coverage = 0.0
         self.er = 0.0
@@ -150,12 +174,12 @@ class PPSState:
         lst = self.index[pair]
         hm, ml = self.hm[pair], self.ml[pair]
         v, i = pair
-        ad = self.alpha_delta[i, v]
+        ad = self.alpha_delta[i][v]
         t = -INF
         if hm < ml:
             t = lst[hm][2] - ad  # first M entry turns H at tau <= c
         if ml < len(lst):
-            r = self.rank_norm[i, v]
+            r = self.rank_norm[i][v]
             t = max(t, (lst[ml][2] - ad) / r)  # first L entry turns M at tau <= c / r
         self.reclass[pair] = t
         if t > 0:
@@ -176,8 +200,8 @@ class PPSState:
                 break
             heapq.heappop(self.q_hml)
             lst = self.index[pair]
-            ad = self.alpha_delta[i, v]
-            r = self.rank_norm[i, v]
+            ad = self.alpha_delta[i][v]
+            r = self.rank_norm[i][v]
             old_hm, old_ml = self.hm[pair], self.ml[pair]
             new_hm = _first_contribution_below(lst, ad, tau, old_hm)
             for p in range(old_hm, new_hm):
@@ -199,39 +223,46 @@ class PPSState:
     # ------------------------------------------------------------------ #
     # sampling
 
+    def next_scan(self, v: int, i: int) -> float:
+        """Distance at which live pair (v, i) scans its next node: 0 before it
+        scans its own node, then its shortest in-edge until it has a cursor,
+        then the cursor's; inf when nothing is left to scan."""
+        cursor = self.cursors.get((v, i))
+        if cursor is not None:
+            return cursor.mu
+        return self.in_edge[i][v] if (v, i) in self.index else 0.0
+
     def _resume_pair(self, v: int, i: int) -> None:
         """Run the pair's reverse Dijkstra until the pause rule holds again."""
         pair = (v, i)
         tau = self.tau
         fn = self.alpha.fn
-        r = self.rank_norm[i, v]
-        ad = self.alpha_delta[i, v]
-        cursor = self.cursors.get(pair)
-        if cursor is None:
-            cursor = self.cursors[pair] = DijkstraCursor(self.g, i, v)
+        r = self.rank_norm[i][v]
+        ad = self.alpha_delta[i][v]
+        prio = self.pair_prio[i]
         lst = self.index.get(pair)
-        if lst is None:
-            lst = self.index[pair] = []
-            self.hm[pair] = 0
-            self.ml[pair] = 0
         est_h, est_m = self.est_h, self.est_m
         while True:
-            mu = cursor.peek()
-            if mu is None:
-                self.pair_prio[i, v] = -INF  # nothing left to scan
-                self.cursors.pop(pair, None)
-                return
-            c = fn(mu) - ad
+            c = fn(self.next_scan(v, i)) - ad
             if c <= 0:
-                self.pair_prio[i, v] = -INF  # permanently terminated
+                prio[v] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
                 self.cursors.pop(pair, None)
                 return
             p = c / r
             if p < tau:
-                self.pair_prio[i, v] = p  # pause
+                prio[v] = p  # pause
                 heapq.heappush(self.q_pairs, (-p, v, i))
                 return
-            u, d = cursor.settle_next()
+            if lst is None:  # the pair's own node, at distance 0
+                u, d = v, 0.0
+                lst = self.index[pair] = []
+                self.hm[pair] = self.ml[pair] = 0
+            else:
+                cursor = self.cursors.get(pair)
+                if cursor is None:
+                    cursor = self.cursors[pair] = DijkstraCursor(self.g, i, v)
+                    cursor.settle_next()  # replay the source; its scan is in the index
+                u, d = cursor.settle_next()
             self.cursor_scans += 1
             a_d = fn(d)
             lst.append((u, d, a_d))
@@ -254,7 +285,7 @@ class PPSState:
         while self.q_pairs:
             negp, v, i = self.q_pairs[0]
             p = -negp
-            cur = prio[i, v]
+            cur = prio[i][v]
             if p != cur:
                 heapq.heappop(self.q_pairs)  # stale entry
                 if cur > 0:
@@ -311,21 +342,18 @@ class PPSState:
     # ------------------------------------------------------------------ #
     # committing a seed
 
-    def _move_down(self, pair: Pair, new_ad: float) -> None:
-        """Demote index entries of one pair after its residual distance drops.
+    def _move_down(self, pair: Pair, lst: list, new_ad: float) -> None:
+        """Demote the index entries of one pair after its residual distance drops.
 
         Every entry's contribution shrinks by the same amount, so the H/M/L
         boundaries only move left, the tail with non-positive contribution is
         cut, and kept H entries adjust their sums in place.
         """
-        lst = self.index.get(pair)
-        if lst is None or not lst:
-            return
         v, i = pair
-        old_ad = self.alpha_delta[i, v]
+        old_ad = self.alpha_delta[i][v]
         shift = old_ad - new_ad  # <= 0
         tau = self.tau
-        r = self.rank_norm[i, v]
+        r = self.rank_norm[i][v]
         est_h, est_m = self.est_h, self.est_m
         old_hm, old_ml = self.hm[pair], self.ml[pair]
         cut = _first_at_most(lst, new_ad)
@@ -348,27 +376,29 @@ class PPSState:
     def commit_seed(self, x: int, estimate: float | None = None) -> float:
         """Make x a seed: every residual distance it improves demotes samples,
         lowers the pair's priority, and adds to the exact marginal, pair by
-        pair in per-instance Dijkstra order."""
+        pair in per-instance Dijkstra order.  Cells of terminated pairs with
+        no index entries only add to the marginal."""
         if self.is_seed[x]:
             raise ValueError(f"node {x} is already a seed")
         g, fn = self.g, self.alpha.fn
-        alpha_delta, prio = self.alpha_delta, self.pair_prio
+        alpha_delta, prio, index = self.alpha_delta, self.pair_prio, self.index
         inst, node, _, new = residual_update(g, self.delta, x, self.alpha.support_bound)
         gain_total = 0.0
         for i, v, d in zip(inst.tolist(), node.tolist(), new.tolist()):
             a_d = fn(d)
-            gain_total += a_d - alpha_delta[i, v]
-            if prio[i, v] > -INF:
-                cursor = self.cursors.get((v, i))
-                mu = cursor.mu if cursor is not None else 0.0
-                new_p = (fn(mu) - a_d) / self.rank_norm[i, v]
+            ad_row = alpha_delta[i]
+            gain_total += a_d - ad_row[v]
+            if prio[i][v] > -INF:
+                new_p = (fn(self.next_scan(v, i)) - a_d) / self.rank_norm[i][v]
                 if new_p <= 0:
-                    prio[i, v] = -INF  # terminated for good
+                    prio[i][v] = -INF  # terminated for good
                     self.cursors.pop((v, i), None)
                 else:
-                    prio[i, v] = new_p  # lazy: heap fixed up on pop
-            self._move_down((v, i), a_d)
-            alpha_delta[i, v] = a_d
+                    prio[i][v] = new_p  # lazy: heap fixed up on pop
+            lst = index.get((v, i))
+            if lst:
+                self._move_down((v, i), lst, a_d)
+            ad_row[v] = a_d
         self.delta[inst, node] = new
         self.delta_update_count += len(inst)
         self.is_seed[x] = True

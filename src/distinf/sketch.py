@@ -427,7 +427,9 @@ def load_sketches(path: str):
 
     A truncated or otherwise malformed file raises ValueError, and so does a
     combined sketch record with a NaN, infinite or negative distance, an
-    unknown rank, a rank repeated within its sketch, or one out of key order.
+    unknown rank, a rank repeated within its sketch, or one out of key order,
+    and a threshold sketch record with an unknown rank, ranks that are not
+    strictly increasing, or more than k ranks.
     """
     with open(path, "rb") as fh:
         try:
@@ -452,6 +454,18 @@ def _read_records(data: bytes, n: int, dtype: np.dtype, path: str) -> list[np.nd
     return out
 
 
+def _rank_positions(table: np.ndarray, rank: np.ndarray, raw: np.ndarray, v: int, path: str) -> np.ndarray:
+    """Positions of node v's ranks in the rank table; an unknown rank
+    (reported as stored, raw) raises ValueError."""
+    pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
+    bad = np.flatnonzero(table[pos] != rank)
+    if len(bad):
+        raise ValueError(
+            f"{path}: sketch of node {v} holds rank {raw[bad[0]]}, which belongs to no node-instance pair"
+        )
+    return pos
+
+
 def _read_sketches(data: bytes, header: tuple, path: str):
     magic, kind, model_code, n, ell, k, seed, T = header
     if magic != _MAGIC:
@@ -469,23 +483,25 @@ def _read_sketches(data: bytes, header: tuple, path: str):
         ranks = assign_ranks(n, ell, k, seed)
     else:
         ranks = structured_ranks(n, ell, ell, seed)
-    if kind == _KIND_THRESHOLD:
-        recs = _read_records(data, n, _THRESHOLD_RECORD, path)
-        return [ThresholdSketch(rs.tolist(), k, n, ell, T, ranks.norm) for rs in recs], ranks, seed
     table, table_node, table_inst = ranks.ranked_pairs()
+    if kind == _KIND_THRESHOLD:
+        sketches = []
+        for v, rec in enumerate(_read_records(data, n, _THRESHOLD_RECORD, path)):
+            rank = rec.astype(np.int64)
+            _rank_positions(table, rank, rec, v, path)
+            if not (rank[1:] > rank[:-1]).all():
+                raise ValueError(f"{path}: sketch of node {v} has ranks that are not strictly increasing")
+            if len(rank) > k:
+                raise ValueError(f"{path}: sketch of node {v} holds {len(rank)} ranks, more than k={k}")
+            sketches.append(ThresholdSketch(rank.tolist(), k, n, ell, T, ranks.norm))
+        return sketches, ranks, seed
     sketches = []
     for v, rec in enumerate(_read_records(data, n, _CADS_RECORD, path)):
         rank, dist = rec["rank"].astype(np.int64), rec["dist"].copy()
         bad = np.flatnonzero(~(np.isfinite(dist) & (dist >= 0)))
         if len(bad):
             raise ValueError(f"{path}: sketch of node {v} has distance {float(dist[bad[0]])!r}")
-        pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
-        bad = np.flatnonzero(table[pos] != rank)
-        if len(bad):
-            raise ValueError(
-                f"{path}: sketch of node {v} holds rank {rec['rank'][bad[0]]}, "
-                "which belongs to no node-instance pair"
-            )
+        pos = _rank_positions(table, rank, rec["rank"], v, path)
         node, inst = table_node[pos], table_inst[pos]
         sr = np.sort(rank)
         bad = np.flatnonzero(sr[1:] == sr[:-1])

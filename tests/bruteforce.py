@@ -221,14 +221,16 @@ def skewed_graph(n, avg_deg, seed, ell):
 
 
 @st.composite
-def small_graphs(draw, max_n=10):
+def small_graphs(draw, max_n=10, loops=False):
     """Graphs on at most max_n nodes with sinks, unit (tied) or random
-    lengths, and at most 3 instances."""
+    lengths, and at most 3 instances; with loops, also self-loops and
+    parallel edges, and at least n edges."""
     from distinf import MultiInstanceGraph
 
     n = draw(st.integers(1, max_n))
-    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    pairs = [(t, h) for t in range(n) for h in range(n) if loops or t != h]
+    min_size = n if loops else 0
+    edges = draw(st.lists(st.sampled_from(pairs), unique=not loops, min_size=min_size, max_size=3 * n)) if pairs else []
     ell = draw(st.integers(1, 3))
     if draw(st.booleans()):
         weights = np.ones((ell, len(edges)))
@@ -246,8 +248,8 @@ def rescan_pps_state(state):
     est_m = np.zeros(state.g.n, dtype=np.int64)
     hm, ml = {}, {}
     for (v, i), lst in state.index.items():
-        ad = state.alpha_delta[i, v]
-        r = state.rank_norm[i, v]
+        ad = state.alpha_delta[i][v]
+        r = state.rank_norm[i][v]
         n_h = n_m = 0
         prev = INF
         for u, d, a_d in lst:
@@ -268,13 +270,17 @@ def rescan_pps_state(state):
 
 def check_pps_state(state):
     """Full-rescan consistency: incremental state must match a from-scratch
-    reclassification, and stored pair priorities must stay upper bounds."""
+    reclassification, and the stored priority of every live pair (never
+    started, started without a cursor, or with one) must stay an upper bound."""
     est_h, est_m, hm, ml = rescan_pps_state(state)
     assert hm == state.hm
     assert ml == state.ml
     assert np.array_equal(est_m, state.est_m)
     np.testing.assert_allclose(est_h, state.est_h, rtol=1e-9, atol=1e-12)
-    for (v, i), cursor in state.cursors.items():
-        mu = cursor.mu
-        true_p = (state.alpha.fn(mu) - state.alpha_delta[i, v]) / state.rank_norm[i, v]
-        assert state.pair_prio[i, v] >= true_p - 1e-12
+    for i in range(state.g.ell):
+        for v in range(state.g.n):
+            if state.pair_prio[i][v] == -INF:
+                continue
+            mu = state.next_scan(v, i)
+            true_p = (state.alpha.fn(mu) - state.alpha_delta[i][v]) / state.rank_norm[i][v]
+            assert state.pair_prio[i][v] >= true_p - 1e-12

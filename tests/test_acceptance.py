@@ -189,7 +189,7 @@ def test_c6_state_machine_soundness():
             elif op < 0.75:
                 state.resume_sampling()
             else:
-                free = np.flatnonzero(~state.is_seed)
+                free = np.flatnonzero(~np.asarray(state.is_seed))
                 if free.size:
                     state.commit_seed(int(rng.choice(free)))
             check_pps_state(state)

@@ -205,6 +205,40 @@ def test_malformed_sketch_record_exits_2(edges_file, tmp_path, capsys, corrupt, 
     assert message in err and "node 0" in err and err.count("\n") == 1
 
 
+def _set_first_threshold_record(data, ranks):
+    """Replace node 0's record in a threshold sketch file by the given ranks."""
+    header = struct.calcsize("<4sBBIIIQd")
+    (count,) = struct.unpack_from("<I", data, header)
+    body = struct.pack(f"<I{len(ranks)}Q", len(ranks), *ranks)
+    return data[:header] + body + data[header + 4 + 8 * count:]
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ([1, 10**12], f"rank {10**12}, which belongs to no node-instance pair"),
+        ([2, 1], "not strictly increasing"),
+        ([1, 1], "not strictly increasing"),
+        ([1, 2, 3, 4, 5], "holds 5 ranks, more than k=4"),
+    ],
+    ids=["unknown-rank", "out-of-order", "repeated-rank", "over-k"],
+)
+def test_malformed_threshold_record_exits_2(edges_file, tmp_path, capsys, ranks, message):
+    # 12 nodes x 2 instances: the permutation ranks are 1..24
+    sk = tmp_path / "tsk.bin"
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
+                 "--seed", "2", "--k", "4", "--threshold", "0.5", "--out", str(sk)]) == 0
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_set_first_threshold_record(sk.read_bytes(), ranks))
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("0\n")
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(seeds_file),
+                 "--decay", "threshold:0.5"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "node 0" in err and err.count("\n") == 1
+
+
 def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
     # threshold sketch file of a 2-node, 2-instance graph with k=0 in its header
     sk = tmp_path / "k0.bin"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distinf import (
     MultiInstanceGraph,
+    decay,
     influence_exact,
     make_exponential,
     make_harmonic,
@@ -14,7 +17,7 @@ from distinf import (
 )
 from distinf.pps_im import PPSState
 
-from bruteforce import bf_all_pairs, check_pps_state, pps_estimate_bf, random_graph
+from bruteforce import bf_all_pairs, check_pps_state, pps_estimate_bf, random_graph, small_graphs
 
 INF = math.inf
 
@@ -78,7 +81,7 @@ def test_tau_to_zero_recovers_exact_influence():
     for _ in range(60):
         state.lower_tau()
     assert not state.cursors  # every reverse search ran to exhaustion
-    assert state.est_m.sum() == 0 or state.tau < 1e-12
+    assert sum(state.est_m) == 0 or state.tau < 1e-12
     got = [state.node_estimate(u) / g.ell for u in range(3)]
     want = [influence_exact(g, [u], alpha) for u in range(3)]
     assert got == pytest.approx(want, abs=1e-9)
@@ -96,8 +99,8 @@ def test_sample_complete_at_every_pause():
             state.lower_tau()
             for i in range(g.ell):
                 for v in range(g.n):
-                    ad = state.alpha_delta[i, v]
-                    r = state.rank_norm[i, v]
+                    ad = state.alpha_delta[i][v]
+                    r = state.rank_norm[i][v]
                     for u in range(g.n):
                         d = dists[i][u, v]
                         if d == INF:
@@ -119,7 +122,7 @@ def test_pair_terminated_when_contribution_nonpositive():
     # pair (a, 0) now has delta 0: nothing can contribute through it
     for _ in range(30):
         state.lower_tau()
-    assert state.pair_prio[0, 0] == -INF
+    assert state.pair_prio[0][0] == -INF
 
 
 def test_commit_seed_line_graph():
@@ -155,6 +158,65 @@ def test_estimator_concentration_fixed_residual():
     arr = np.array(ests)
     assert arr.std(ddof=1) / arr.mean() <= 1.3 / math.sqrt(k)
     assert abs(arr.mean() - total) <= 3 * arr.std(ddof=1) / math.sqrt(300)
+
+
+@st.composite
+def pps_cases(draw):
+    g = draw(small_graphs(max_n=8, loops=True))
+    alpha = draw(st.sampled_from([
+        make_harmonic(1), make_exponential(2), make_threshold(0.8),
+        decay.truncate(make_exponential(1), 0.2),
+    ]))
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    lam = draw(st.sampled_from([0.25, 0.5]))
+    tau0 = draw(st.sampled_from([None, 0.02, 0.2, 1.0]))
+    seed = draw(st.integers(0, 3))
+    op = st.sampled_from(["lower", "lower", "resume", "commit"])
+    ops = draw(st.lists(st.tuples(op, st.integers(0, 7)), min_size=10, max_size=40))
+    return g, alpha, k, lam, tau0, seed, ops
+
+
+def _check_scans(state, dists):
+    """Every pair's index list is a prefix of its reverse-distance order, by
+    (distance, node).  A live pair has trimmed nothing, so its next scan is at
+    the distance of the next node in that order."""
+    for i in range(state.g.ell):
+        for v in range(state.g.n):
+            order = sorted((d, u) for u, d in enumerate(dists[i][:, v]) if d < INF)
+            lst = state.index.get((v, i), [])
+            assert [u for u, _, _ in lst] == [u for _, u in order[: len(lst)]], (v, i)
+            assert [d for _, d, _ in lst] == pytest.approx([d for d, _ in order[: len(lst)]], rel=1e-12)
+            if state.pair_prio[i][v] > -INF:
+                assert state.next_scan(v, i) == pytest.approx(order[len(lst)][0], rel=1e-12), (v, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pps_cases())
+def test_on_demand_searches_keep_state_sound(case):
+    # self-loops, parallel edges and nodes without in-edges: a pair scans its
+    # own node without a search and builds its cursor only for a second scan
+    g, alpha, k, lam, tau0, seed, ops = case
+    state = PPSState(g, alpha, k=k, lam=lam, tau0=tau0, seed=seed)
+    dists = bf_all_pairs(g)
+    for op, x in ops:
+        if op == "lower":
+            state.lower_tau()
+        elif op == "resume":
+            state.resume_sampling()
+        elif not state.is_seed[x % g.n]:
+            state.commit_seed(x % g.n)
+        check_pps_state(state)
+        _check_scans(state, dists)
+        for pair in state.cursors:
+            assert len(state.index[pair]) >= 2  # a cursor only past the own node
+
+
+@pytest.mark.parametrize("eps", [-0.5, 0.0, 1.0, 1.5, math.nan])
+def test_adaptive_eps_outside_unit_interval_rejected(eps):
+    # a negative eps rejected every candidate, so tau halved forever; NaN
+    # switched the exact check off
+    with pytest.raises(ValueError, match="eps"):
+        PPSState(line_graph(), make_harmonic(1), k=4, eps=eps)
 
 
 # ------------------------------------------------------------- full runs
