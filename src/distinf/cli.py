@@ -100,7 +100,7 @@ def cmd_oracle_query(args) -> int:
             raise ValueError(
                 f"sketches were built for threshold:{first.T:g}, not {args.decay}"
             )
-        est = sketch.threshold_influence_estimate([sketches[s] for s in seeds], first.ell)
+        est = sketch.threshold_influence_estimate([sketches[s] for s in seeds])
     else:
         est = sketch.estimate_influence(sketches, seeds, alpha)
     print(repr(est))
@@ -145,13 +145,16 @@ def cmd_greedy_exact(args) -> int:
     return 0
 
 
-def _held_out_eval(args, seeds: list[int]) -> None:
+def _held_out_graph(args, m: int) -> MultiInstanceGraph:
+    """m held-out instances of the edge list, from an rng stream disjoint from training's."""
     if not getattr(args, "edges", None):
         raise ValueError("held-out evaluation needs --edges and --model")
     base = load_edge_list(args.edges, weighted=args.weighted)
-    # disjoint rng stream from training instances
-    model = parse_model(args.model, args.seed + 1)
-    g_eval = sample_instances(base, model, args.eval_instances)
+    return sample_instances(base, parse_model(args.model, args.seed + 1), m)
+
+
+def _held_out_eval(args, seeds: list[int]) -> None:
+    g_eval = _held_out_graph(args, args.eval_instances)
     alpha = parse_decay(args.decay) if getattr(args, "decay", None) else None
     if alpha is None:
         from .decay import make_threshold
@@ -182,9 +185,7 @@ def _write_eval(rows, out_path) -> None:
 
 
 def cmd_eval(args) -> int:
-    base = load_edge_list(args.edges, weighted=args.weighted)
-    model = parse_model(args.model, args.seed + 1)
-    g_eval = sample_instances(base, model, args.m)
+    g_eval = _held_out_graph(args, args.m)
     seeds = _read_seeds(args.seeds_file, g_eval)
     alpha = parse_decay(args.decay)
     _write_eval(_eval_rows(g_eval, seeds, alpha), args.out)

@@ -9,12 +9,12 @@ estimators are exactly unbiased under it, while the permutation model trades
 a small finite-domain bias for lower variance.  Normalized ranks divide by
 the model's domain size (n*ell for permutations).
 
-Combined sketches keep, per node, the rank-distance pairs whose rank is below
-the k-th smallest among strictly closer pairs; distance ties are broken by
-(node, instance) index.  A combined sketch is stored as parallel arrays
-(rank, distance, node, instance) sorted by that key.  One vectorized union
-filter, `merge_cads`, forms both a node's combined sketch from its
-per-instance sketches and the union sketch of a query's seed set.  A
+Combined sketches keep, per node, the k smallest ranks at distance 0 and the
+rank-distance pairs whose rank is below the k-th smallest among strictly
+closer pairs; distance ties are broken by (node, instance) index.  Every sketch, per-instance or combined, is a `CADS`:
+parallel arrays (rank, distance, node, instance) sorted by that key.  One
+vectorized union filter, `merge_cads`, forms both a node's combined sketch
+from its per-instance sketches and the union sketch of a query's seed set.  A
 threshold sketch of a node is the k smallest ranks among its per-instance
 all-distances sketch entries within T.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,9 +59,6 @@ class RankAssignment:
 
     n: int
     ell: int
-    blocks: int
-    seed: int
-    model: str  # "permutation" | "uniform"
     rank: np.ndarray
     norm: int
 
@@ -96,7 +94,7 @@ def structured_ranks(n: int, ell: int, blocks: int, seed: int) -> RankAssignment
         pos = np.empty(n, dtype=np.int64)
         pos[perm] = nodes
         rank[nodes, choice[:, b]] = b * n + pos + 1
-    return RankAssignment(n, ell, blocks, seed, "permutation", rank, n * ell)
+    return RankAssignment(n, ell, rank, n * ell)
 
 
 def uniform_ranks(n: int, ell: int, seed: int) -> RankAssignment:
@@ -106,7 +104,7 @@ def uniform_ranks(n: int, ell: int, seed: int) -> RankAssignment:
     while True:
         rank = rng.integers(1, UNIFORM_DOMAIN, size=(n, ell), dtype=np.int64)
         if np.unique(rank).size == n * ell:
-            return RankAssignment(n, ell, ell, seed, "uniform", rank, UNIFORM_DOMAIN)
+            return RankAssignment(n, ell, rank, UNIFORM_DOMAIN)
 
 
 def assign_ranks(n: int, ell: int, k: int, seed: int) -> RankAssignment:
@@ -126,21 +124,24 @@ def _make_ranks(n: int, ell: int, k: int, seed: int, model: str) -> RankAssignme
 
 def build_ads_instance(
     g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int, limit: float = INF
-) -> list[list[Entry]]:
+) -> list[CADS]:
     """Single-instance all-distances sketches for every node, cut at limit.
 
     Reverse Dijkstras run from the instance's ranked pairs in increasing rank
     order and push no node beyond `limit`; a search is pruned at nodes that
     already hold k entries strictly closer (by the tie-broken key) than the
     current settle distance.  So the entries of a node within any distance
-    x <= limit include the k smallest ranks within x.  Each node's entries
-    come in increasing rank order; `merge_cads` sorts them by key.
+    x <= limit include the k smallest ranks within x.  The entries of all
+    nodes are recorded in typed buffers and sorted once by (node, key); each
+    node's sketch is a `CADS` whose columns are views of those arrays.
     """
     radj = g.instances[instance].radj
     col = ranks.rank[:, instance]
     ranked = np.flatnonzero(col)
     ranked = ranked[np.argsort(col[ranked])]
-    entries: list[list[Entry]] = [[] for _ in range(g.n)]
+    # entry columns (owner, rank, distance, node), appended as found
+    cols = (array("q"), array("q"), array("d"), array("q"))
+    add_owner, add_rank, add_dist, add_node = (c.append for c in cols)
     # per node, a max-heap of its k smallest keys (d, src), stored negated;
     # the instance is fixed, so (d, src) orders like the entry key
     keys: list[list[tuple[float, int]]] = [[] for _ in range(g.n)]
@@ -165,20 +166,32 @@ def build_ads_instance(
                 continue  # k smaller ranks already strictly closer: prune
             if len(kv) == k:
                 cap[v] = -kv[0][0]
-            entries[v].append((r, d, src, instance))
+            add_owner(v)
+            add_rank(r)
+            add_dist(d)
+            add_node(src)
             for u, w in radj[v]:
                 du = d + w
                 if du <= cap[u] and du < dist.get(u, INF) and du <= limit:
                     dist[u] = du
                     push(heap, (du, u))
-    return entries
+    owner, rank, dist, node = (np.frombuffer(c, c.typecode) for c in cols)
+    order = np.lexsort((node, dist, owner))
+    rank, dist, node = rank[order], dist[order], node[order]
+    inst = np.full(len(order), instance, dtype=np.int64)
+    bounds = np.searchsorted(owner[order], np.arange(g.n + 1)).tolist()
+    return [
+        CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, g.n, g.ell, ranks.norm)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(eq=False)
 class CADS:
-    """Combined all-distances sketch of one node: parallel arrays (rank,
-    distance, node, instance) sorted by the tie-broken distance key, at most
-    min(ell, k) entries at distance 0."""
+    """All-distances sketch of one node: parallel arrays (rank, distance,
+    node, instance) sorted by the tie-broken distance key.  It covers one
+    instance (from `build_ads_instance`) or all of them (combined, from
+    `merge_cads`, with at most min(ell, k) entries at distance 0)."""
 
     rank: np.ndarray
     dist: np.ndarray
@@ -187,11 +200,7 @@ class CADS:
     k: int
     n: int
     ell: int
-    norm: int = 0
-
-    def __post_init__(self):
-        if self.norm == 0:
-            self.norm = self.n * self.ell
+    norm: int
 
     @property
     def entries(self) -> list[Entry]:
@@ -204,42 +213,20 @@ class CADS:
         return len(self.rank)
 
 
-def _entry_columns(entries: Sequence[Entry]) -> tuple[np.ndarray, ...]:
-    r, d, v, i = zip(*entries) if entries else ((), (), (), ())
-    return (
-        np.array(r, dtype=np.int64),
-        np.array(d, dtype=np.float64),
-        np.array(v, dtype=np.int64),
-        np.array(i, dtype=np.int64),
-    )
-
-
-def merge_cads(
-    parts: Sequence, k: int, n: int | None = None, ell: int | None = None, norm: int | None = None
-) -> CADS:
+def merge_cads(parts: Sequence[CADS], k: int) -> CADS:
     """Union filter: one combined sketch from the entries of all parts.
 
-    Parts are a node's per-instance entry lists (in any order) at build time,
-    or the seeds' combined sketches when forming a query's union; the result
-    does not depend on part order.  A repeated rank (one pair seen from
-    several parts) keeps its closest occurrence only; distance-0 entries keep
-    the k smallest ranks outright; a positive-distance entry is kept when its
-    rank is below the k-th smallest kept rank ahead of it in key order.
+    Parts are a node's per-instance sketches at build time, or the seeds'
+    combined sketches when forming a query's union; the result does not
+    depend on part order.  A repeated rank (one pair seen from several
+    parts) keeps its closest occurrence only; distance-0 entries keep the k
+    smallest ranks outright; a positive-distance entry is kept when its rank
+    is below the k-th smallest kept rank ahead of it in key order.
     """
-    cols = []
-    raw: list[Entry] = []
-    for part in parts:
-        if isinstance(part, CADS):
-            if n is None:
-                n, ell, norm = part.n, part.ell, part.norm
-            cols.append((part.rank, part.dist, part.node, part.instance))
-        else:
-            raw.extend(part)
-    if n is None or ell is None:
-        raise ValueError("merge_cads needs n and ell for raw entry lists")
-    if raw or not cols:
-        cols.append(_entry_columns(raw))
-    rank, dist, node, inst = (np.concatenate(c) for c in zip(*cols))
+    n, ell, norm = parts[0].n, parts[0].ell, parts[0].norm
+    rank, dist, node, inst = (
+        np.concatenate(c) for c in zip(*((p.rank, p.dist, p.node, p.instance) for p in parts))
+    )
 
     # The threshold never rises above the k-th smallest distance-0 rank, so
     # every larger rank is cut first.
@@ -276,7 +263,7 @@ def merge_cads(
                 continue
             picked.append(start + j)
     sel = order[picked]
-    return CADS(rank[sel], dist[sel], node[sel], inst[sel], k, n, ell, norm if norm is not None else n * ell)
+    return CADS(rank[sel], dist[sel], node[sel], inst[sel], k, n, ell, norm)
 
 
 def build_cads(
@@ -285,12 +272,7 @@ def build_cads(
     """Full preprocessing: ranks, per-instance sketches, combined per node."""
     ranks = _make_ranks(g.n, g.ell, k, seed, rank_model)
     per_instance = [build_ads_instance(g, i, ranks, k) for i in range(g.ell)]
-    combined = [
-        merge_cads(
-            [per_instance[i][v] for i in range(g.ell)], k, n=g.n, ell=g.ell, norm=ranks.norm
-        )
-        for v in range(g.n)
-    ]
+    combined = [merge_cads([sk[v] for sk in per_instance], k) for v in range(g.n)]
     return combined, ranks
 
 
@@ -354,20 +336,24 @@ def build_threshold_sketches(
     """Bottom-k sketches of the within-T reachable pairs, for every node.
 
     Each instance's all-distances sketches cut at T hold the k smallest ranks
-    within T of every node; they are folded into each node's running k
-    smallest ranks one instance at a time, so only one instance's entries
-    are held at once.
+    within T of every node; their rank columns are folded into each node's
+    running k smallest ranks (the first `size[v]` of row v of `bottom`) one
+    instance at a time, so only one instance's entries are held at once.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    bottom: list[list[int]] = [[] for _ in range(g.n)]
+    bottom = np.zeros((g.n, k), dtype=np.int64)
+    size = [0] * g.n
     for instance in range(g.ell):
-        for v, entries in enumerate(build_ads_instance(g, instance, ranks, k, limit=T)):
-            bottom[v] = sorted(bottom[v] + [e[0] for e in entries])[:k]
-    return [ThresholdSketch(b, k, g.n, g.ell, T, ranks.norm) for b in bottom]
+        for v, sk in enumerate(build_ads_instance(g, instance, ranks, k, limit=T)):
+            b = np.sort(np.concatenate((bottom[v, : size[v]], sk.rank)))[:k]
+            bottom[v, : len(b)] = b
+            size[v] = len(b)
+        sk = None  # the last sketch's views would keep this instance's arrays alive
+    return [ThresholdSketch(b[:s].tolist(), k, g.n, g.ell, T, ranks.norm) for b, s in zip(bottom, size)]
 
 
-def threshold_influence_estimate(sketches: Sequence[ThresholdSketch], ell: int) -> float:
+def threshold_influence_estimate(sketches: Sequence[ThresholdSketch]) -> float:
     """Influence (pair count averaged over instances) from threshold sketches.
 
     The pair count is the bottom-k cardinality estimate (k-1)/tau_k on the
@@ -376,11 +362,11 @@ def threshold_influence_estimate(sketches: Sequence[ThresholdSketch], ell: int) 
     """
     if not sketches:
         return 0.0
-    k, norm = sketches[0].k, sketches[0].norm
+    k, ell, norm = sketches[0].k, sketches[0].ell, sketches[0].norm
     union: set[int] = set()
     for sk in sketches:
-        if sk.k != k:
-            raise ValueError("sketches built with mismatched k")
+        if (sk.k, sk.ell) != (k, ell):
+            raise ValueError("sketches built with mismatched k or ell")
         union.update(sk.ranks)
     if len(union) < k:
         return len(union) / ell
@@ -398,20 +384,18 @@ _CADS_RECORD = np.dtype([("rank", "<u8"), ("dist", "<f8")])
 _THRESHOLD_RECORD = np.dtype("<u8")
 
 
-def save_sketches(
-    path: str,
-    sketches: Sequence[CADS] | Sequence[ThresholdSketch],
-    seed: int,
-    rank_model: str = "permutation",
-) -> None:
-    """Write sketches as little-endian length-prefixed (rank, distance) records."""
+def save_sketches(path: str, sketches: Sequence[CADS] | Sequence[ThresholdSketch], seed: int) -> None:
+    """Write sketches as little-endian length-prefixed (rank, distance) records.
+
+    The header names the rank model the sketches carry: uniform when their
+    rank domain is `UNIFORM_DOMAIN`, otherwise permutation.
+    """
     first = sketches[0]
     kind = _KIND_CADS if isinstance(first, CADS) else _KIND_THRESHOLD
+    model = _MODEL_CODE["uniform" if first.norm == UNIFORM_DOMAIN else "permutation"]
     T = getattr(first, "T", float("nan"))
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(_MAGIC, kind, _MODEL_CODE[rank_model], first.n, first.ell, first.k, seed, T)
-        )
+        fh.write(_HEADER.pack(_MAGIC, kind, model, first.n, first.ell, first.k, seed, T))
         for sk in sketches:
             if kind == _KIND_CADS:
                 rec = np.empty(len(sk), _CADS_RECORD)

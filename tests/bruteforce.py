@@ -107,9 +107,10 @@ def greedy_bf(g, alpha, s_max):
 def cads_bf(g, ranks, k, v, dists=None):
     """Combined sketch of v straight from its defining inclusion rule.
 
-    A ranked pair is kept when its rank is below the k-th smallest rank over
-    all strictly closer ranked pairs, where closeness is the tie-broken key
-    (distance, node, instance).
+    The distance-0 pairs (v's own, one per ranked instance) keep the k
+    smallest ranks.  Any other ranked pair is kept when its rank is below the
+    k-th smallest rank over all strictly closer ranked pairs, where closeness
+    is the tie-broken key (distance, node, instance).
     """
     if dists is None:
         dists = bf_all_pairs(g)
@@ -123,10 +124,11 @@ def cads_bf(g, ranks, k, v, dists=None):
             if d < INF:
                 pairs.append((r, d, u, i))
     pairs.sort(key=lambda e: (e[1], e[2], e[3]))
+    zero = sorted(e[0] for e in pairs if e[1] == 0.0)[:k]
     kept = set()
     closer_ranks: list[int] = []
     for r, d, u, i in pairs:
-        if len(closer_ranks) < k or r < sorted(closer_ranks)[k - 1]:
+        if (r in zero) if d == 0.0 else (len(closer_ranks) < k or r < sorted(closer_ranks)[k - 1]):
             kept.add((r, d, u, i))
         closer_ranks.append(r)
     return kept

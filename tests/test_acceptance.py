@@ -150,7 +150,7 @@ def test_c4_oracle_estimator_concentration():
     for rep in range(draws):
         ra = uniform_ranks(g.n, g.ell, seed=9000 + rep)
         tsk = build_threshold_sketches(g, ra, k, T)
-        uests.append(threshold_influence_estimate([tsk[s] for s in seeds5], g.ell))
+        uests.append(threshold_influence_estimate([tsk[s] for s in seeds5]))
     uarr = np.array(uests)
     ucv = uarr.std(ddof=1) / uarr.mean()
     ubias_se = abs(uarr.mean() - exact_threshold) / (uarr.std(ddof=1) / math.sqrt(draws))

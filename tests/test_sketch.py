@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distinf import (
+    CADS,
     MultiInstanceGraph,
     assign_ranks,
     build_ads_instance,
@@ -41,8 +42,13 @@ def forced_ranks(n, ell, rank_of_pair):
     rank = np.zeros((n, ell), dtype=np.int64)
     for (v, i), r in rank_of_pair.items():
         rank[v, i] = r
-    blocks = max(rank_of_pair.values()) // n
-    return RankAssignment(n, ell, blocks, seed=-1, model="permutation", rank=rank, norm=n * ell)
+    return RankAssignment(n, ell, rank=rank, norm=n * ell)
+
+
+def cads_of(entries, k, n, ell):
+    """A sketch holding the given (rank, distance, node, instance) entries as listed."""
+    r, d, u, i = zip(*entries)
+    return CADS(np.array(r), np.array(d, dtype=float), np.array(u), np.array(i), k, n, ell, n * ell)
 
 
 # ------------------------------------------------------------- rank structure
@@ -88,9 +94,9 @@ def test_ads_hand_example():
     g = line_graph()
     ra = forced_ranks(3, 1, {(0, 0): 2, (1, 0): 1, (2, 0): 3})
     ads = build_ads_instance(g, 0, ra, k=2)
-    # ADS(a), in rank order: b at distance 1 plus its own entry at 0; c is
+    # ADS(a), in key order: its own entry at 0 plus b at distance 1; c is
     # excluded because its rank is not below the 2nd-smallest closer rank
-    assert [(r, d) for r, d, _, _ in ads[0]] == [(1, 1.0), (2, 0.0)]
+    assert [(r, d) for r, d, _, _ in ads[0].entries] == [(2, 0.0), (1, 1.0)]
 
 
 def test_ads_distance_tie_is_broken_by_node():
@@ -100,7 +106,7 @@ def test_ads_distance_tie_is_broken_by_node():
     g = MultiInstanceGraph.from_arrays(3, [0, 0], [1, 2])
     ra = forced_ranks(3, 1, {(0, 0): 3, (1, 0): 2, (2, 0): 1})
     ads = build_ads_instance(g, 0, ra, k=1)
-    assert sorted((r, d, u) for r, d, u, _ in ads[0]) == [(1, 1.0, 2), (2, 1.0, 1), (3, 0.0, 0)]
+    assert sorted((r, d, u) for r, d, u, _ in ads[0].entries) == [(1, 1.0, 2), (2, 1.0, 1), (3, 0.0, 0)]
 
 
 def test_ads_k_equals_n_keeps_all_reachable():
@@ -116,27 +122,26 @@ def test_ads_isolated_tail_contributes_only_self():
     g = MultiInstanceGraph.from_arrays(3, [0], [1])  # node 2 isolated
     ra = assign_ranks(3, 1, 3, seed=0)
     ads = build_ads_instance(g, 0, ra, k=3)
-    assert len(ads[2]) == 1 and ads[2][0][2] == 2
+    assert len(ads[2]) == 1 and ads[2].entries[0][2] == 2
 
 
-def entry_ids(entries):
-    return sorted((r, u, i) for r, _, u, i in entries)
-
-
-def test_ads_entries_satisfy_inclusion_rule_exhaustively():
-    for seed in range(6):
-        g = random_graph(25, 3, seed=seed, ell=2)
-        k = 3
-        ra = assign_ranks(25, 2, k, seed=seed + 50)
-        per_inst = [build_ads_instance(g, i, ra, k) for i in range(2)]
-        dists = bf_all_pairs(g)
-        for v in range(25):
-            merged = merge_cads([per_inst[i][v] for i in range(2)], k, n=25, ell=2)
-            want = cads_bf(g, ra, k, v, dists)
-            assert entry_ids(merged.entries) == entry_ids(want)
-            want_d = {(r, u, i): d for r, d, u, i in want}
-            for r, d, u, i in merged.entries:
-                assert d == pytest.approx(want_d[(r, u, i)], abs=1e-9)
+@settings(max_examples=150, deadline=None)
+@given(
+    small_graphs(loops=True),
+    st.integers(1, 4),
+    st.sampled_from(["permutation", "uniform"]),
+    st.integers(0, 2**16),
+)
+def test_ads_entries_satisfy_inclusion_rule_exhaustively(g, k, model, seed):
+    # every node's combined sketch holds exactly the pairs of the inclusion
+    # rule, in key order
+    sketches, ra = build_cads(g, k, seed, rank_model=model)
+    dists = bf_all_pairs(g)
+    for v in range(g.n):
+        want = sorted(cads_bf(g, ra, k, v, dists), key=lambda e: (e[1], e[2], e[3]))
+        got = sketches[v].entries
+        assert [(r, u, i) for r, _, u, i in got] == [(r, u, i) for r, _, u, i in want]
+        assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
 
 
 # ------------------------------------------------------------- merging
@@ -146,14 +151,14 @@ def test_merge_single_list_is_identity():
     g = line_graph()
     ra = assign_ranks(3, 1, 2, seed=4)
     ads = build_ads_instance(g, 0, ra, k=2)
-    merged = merge_cads([ads[0]], 2, n=3, ell=1)
-    assert merged.entries == sorted(ads[0], key=lambda e: (e[1], e[2], e[3]))
+    merged = merge_cads([ads[0]], 2)
+    assert merged.entries == ads[0].entries
 
 
 def test_merge_keeps_smaller_rank_at_distance_zero():
-    a = [(5, 0.0, 0, 0)]
-    b = [(2, 0.0, 0, 1)]
-    merged = merge_cads([a, b], 1, n=1, ell=2)
+    a = cads_of([(5, 0.0, 0, 0)], 1, n=1, ell=2)
+    b = cads_of([(2, 0.0, 0, 1)], 1, n=1, ell=2)
+    merged = merge_cads([a, b], 1)
     # k = 1: only the smaller rank survives at distance 0
     assert merged.entries == [(2, 0.0, 0, 1)]
 
@@ -165,11 +170,11 @@ def test_merge_order_independent():
         ra = assign_ranks(20, 3, 4, seed=trial)
         per_inst = [build_ads_instance(g, i, ra, 4) for i in range(3)]
         v = int(rng.integers(20))
-        lists = [per_inst[i][v] for i in range(3)]
-        a = merge_cads(lists, 4, n=20, ell=3)
-        b = merge_cads([lists[2], lists[0], lists[1]], 4, n=20, ell=3)
+        parts = [per_inst[i][v] for i in range(3)]
+        a = merge_cads(parts, 4)
+        b = merge_cads([parts[2], parts[0], parts[1]], 4)
         # pairwise association must agree too
-        c = merge_cads([merge_cads([lists[1], lists[2]], 4, n=20, ell=3), lists[0]], 4)
+        c = merge_cads([merge_cads([parts[1], parts[2]], 4), parts[0]], 4)
         assert a.entries == b.entries == c.entries
 
 
@@ -246,7 +251,7 @@ def test_cads_supports_exact_thresholds_under_ties():
 
 def hand_cads():
     # entries (rank, distance): (0.6, 0), (0.2, 1) with norm 10*1
-    return merge_cads([[(6, 0.0, 0, 0), (2, 1.0, 1, 0)]], 2, n=10, ell=1)
+    return merge_cads([cads_of([(6, 0.0, 0, 0), (2, 1.0, 1, 0)], 2, n=10, ell=1)], 2)
 
 
 def test_estimate_single_seed_hand_example():
@@ -369,7 +374,7 @@ def test_threshold_sketches_are_ads_cut_at_T(case):
     for i in range(g.ell):
         cut, full = build_ads_instance(g, i, ra, k, limit=T), build_ads_instance(g, i, ra, k)
         for v in range(g.n):
-            assert cut[v] == [e for e in full[v] if e[1] <= T]
+            assert cut[v].entries == [e for e in full[v].entries if e[1] <= T]
 
 
 # ------------------------------------------------------------- union size
@@ -380,14 +385,14 @@ def test_union_size_formula():
 
     sk = ThresholdSketch([10, 20, 25], k=3, n=50, ell=2, T=1.0)  # norm n * ell = 100
     # bottom-k pair count (k - 1) / tau_k, averaged over the 2 instances
-    assert threshold_influence_estimate([sk], 2) == pytest.approx((3 - 1) / 0.25 / 2)
+    assert threshold_influence_estimate([sk]) == pytest.approx((3 - 1) / 0.25 / 2)
 
 
 def test_union_size_exact_below_k():
     from distinf import ThresholdSketch
 
     sk = ThresholdSketch([10, 20], k=64, n=50, ell=2, T=1.0)
-    assert threshold_influence_estimate([sk], 2) == 1.0  # 2 pairs over 2 instances
+    assert threshold_influence_estimate([sk]) == 1.0  # 2 pairs over 2 instances
 
 
 def test_union_size_k_mismatch():
@@ -395,8 +400,10 @@ def test_union_size_k_mismatch():
 
     a = ThresholdSketch([1], k=3, n=5, ell=1, T=1.0)
     b = ThresholdSketch([2], k=4, n=5, ell=1, T=1.0)
-    with pytest.raises(ValueError):
-        threshold_influence_estimate([a, b], 1)
+    c = ThresholdSketch([2], k=3, n=5, ell=2, T=1.0)
+    for other in (b, c):
+        with pytest.raises(ValueError, match="mismatched"):
+            threshold_influence_estimate([a, other])
 
 
 def test_threshold_influence_estimate_full_information():
@@ -405,7 +412,7 @@ def test_threshold_influence_estimate_full_information():
     T = 0.7
     sk = build_threshold_sketches(g, ra, k=40, T=T)  # k = n*ell: nothing truncated
     seeds = [0, 3]
-    got = threshold_influence_estimate([sk[s] for s in seeds], g.ell)
+    got = threshold_influence_estimate([sk[s] for s in seeds])
     assert got == pytest.approx(influence_bf(g, seeds, make_threshold(T)), abs=1e-9)
 
 
@@ -446,6 +453,23 @@ def test_threshold_file_roundtrip(tmp_path):
     assert np.array_equal(ra.rank, ranks2.rank)
     for a, b in zip(sketches, loaded):
         assert a.ranks == b.ranks and a.T == b.T
+
+
+def test_uniform_rank_files_roundtrip(tmp_path):
+    # the header records the rank model the sketches carry, so files saved
+    # with default arguments load back
+    g = random_graph(30, 3, seed=5, ell=3)
+    sketches, ranks = build_cads(g, 5, seed=11, rank_model="uniform")
+    save_sketches(str(tmp_path / "sk.bin"), sketches, seed=11)
+    loaded, ranks2, _ = load_sketches(str(tmp_path / "sk.bin"))
+    assert np.array_equal(ranks.rank, ranks2.rank)
+    assert [a.entries for a in sketches] == [b.entries for b in loaded]
+    ra = uniform_ranks(30, 3, seed=7)
+    tsk = build_threshold_sketches(g, ra, k=6, T=0.9)
+    save_sketches(str(tmp_path / "tsk.bin"), tsk, seed=7)
+    loaded, ranks2, _ = load_sketches(str(tmp_path / "tsk.bin"))
+    assert np.array_equal(ra.rank, ranks2.rank)
+    assert [a.ranks for a in tsk] == [b.ranks for b in loaded]
 
 
 @pytest.mark.parametrize("size", [20, 60])
