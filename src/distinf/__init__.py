@@ -1,7 +1,7 @@
 """Distance-based influence computation and maximization on multi-instance
 weighted directed graphs."""
 
-from .decay import DecayFunction, make_exponential, make_harmonic, make_threshold, parse_decay, truncate
+from .decay import DecayFunction, make_exponential, make_harmonic, make_threshold, parse_decay
 from .exact import (
     GreedyTrace,
     ResidualState,
@@ -15,7 +15,6 @@ from .graph import (
     DijkstraCursor,
     EdgeLengthModel,
     GraphFormatError,
-    Instance,
     MultiInstanceGraph,
     load_edge_list,
     load_npz,
@@ -50,7 +49,6 @@ __all__ = [
     "EdgeLengthModel",
     "GraphFormatError",
     "GreedyTrace",
-    "Instance",
     "MultiInstanceGraph",
     "PPSState",
     "RankAssignment",
@@ -83,5 +81,4 @@ __all__ = [
     "structured_ranks",
     "uniform_ranks",
     "threshold_influence_estimate",
-    "truncate",
 ]

@@ -64,7 +64,7 @@ def cmd_gen(args) -> int:
     model = parse_model(args.model, args.seed)
     g = sample_instances(base, model, args.ell)
     save_npz(g, args.out)
-    print(f"wrote {args.out}: n={g.n} ell={g.ell} m={len(g.instances[0].weights)}")
+    print(f"wrote {args.out}: n={g.n} ell={g.ell} m={len(g.tails)}")
     return 0
 
 
@@ -96,10 +96,8 @@ def cmd_oracle_query(args) -> int:
             raise ValueError(f"seed {s} out of range [0, {first.n})")
     alpha = parse_decay(args.decay)
     if isinstance(first, sketch.ThresholdSketch):
-        if alpha.name != f"threshold:{first.T:g}":
-            raise ValueError(
-                f"sketches were built for threshold:{first.T:g}, not {args.decay}"
-            )
+        if not alpha.name.startswith("threshold:") or alpha.support_bound != first.T:
+            raise ValueError(f"sketches were built for threshold:{first.T!r}, not {args.decay}")
         est = sketch.threshold_influence_estimate([sketches[s] for s in seeds])
     else:
         est = sketch.estimate_influence(sketches, seeds, alpha)
@@ -259,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = oracle.add_parser("build", help="precompute sketches")
     _add_graph_args(p)
     p.add_argument("--k", type=int, default=64)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--decay-agnostic", action="store_true", help="combined all-distances sketches")
-    group.add_argument("--threshold", type=float, help="bottom-k sketches for a fixed threshold")
+    p.add_argument("--threshold", type=float, help="bottom-k sketches for a fixed threshold "
+                   "(default: combined all-distances sketches for any decay)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle_build)
     p = oracle.add_parser("query", help="estimate influence of a seed set")

@@ -17,18 +17,13 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class DecayFunction:
-    """A non-increasing map from distance in [0, inf] to utility in [0, alpha0].
-
-    `inverse(y)` returns the largest distance whose value is still >= y; it is
-    defined for the built-in families and enables truncation.
-    """
+    """A non-increasing map from distance in [0, inf] to utility in [0, alpha0]."""
 
     name: str
     fn: Callable[[float], float]
     array_fn: Callable[[np.ndarray], np.ndarray]
     support_bound: float
     alpha0: float
-    inverse: Callable[[float], float] | None = None
 
     def __call__(self, d: float) -> float:
         return self.fn(d)
@@ -47,7 +42,6 @@ def make_threshold(T: float) -> DecayFunction:
         array_fn=lambda d: np.where(np.asarray(d) <= T, 1.0, 0.0),
         support_bound=T,
         alpha0=1.0,
-        inverse=lambda y: T,
     )
 
 
@@ -61,7 +55,6 @@ def make_exponential(rate: float) -> DecayFunction:
         array_fn=lambda d: np.exp(-rate * np.asarray(d, dtype=np.float64)),
         support_bound=INF,
         alpha0=1.0,
-        inverse=lambda y: -math.log(y) / rate,
     )
 
 
@@ -75,40 +68,6 @@ def make_harmonic(scale: float) -> DecayFunction:
         array_fn=lambda d: 1.0 / (scale * np.asarray(d, dtype=np.float64) + 1.0),
         support_bound=INF,
         alpha0=1.0,
-        inverse=lambda y: (1.0 / y - 1.0) / scale,
-    )
-
-
-def truncate(base: DecayFunction, eps_cut: float) -> DecayFunction:
-    """Zero out values <= eps_cut * alpha0, bounding search depth.
-
-    With eps_cut == 0 the function is returned unchanged.  The new support
-    bound is the analytic inverse at the cut value.
-    """
-    if not 0 <= eps_cut < 1:
-        raise ValueError("eps_cut must be in [0, 1)")
-    if eps_cut == 0:
-        return base
-    if base.inverse is None:
-        raise ValueError(f"decay {base.name} has no inverse; cannot truncate")
-    cut = eps_cut * base.alpha0
-    support = min(base.support_bound, base.inverse(cut))
-
-    def fn(d: float) -> float:
-        v = base.fn(d)
-        return v if v > cut else 0.0
-
-    def array_fn(d: np.ndarray) -> np.ndarray:
-        v = base.array_fn(d)
-        return np.where(v > cut, v, 0.0)
-
-    return DecayFunction(
-        name=f"{base.name}|cut:{eps_cut:g}",
-        fn=fn,
-        array_fn=array_fn,
-        support_bound=support,
-        alpha0=base.alpha0,
-        inverse=base.inverse,
     )
 
 

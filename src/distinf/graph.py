@@ -1,8 +1,9 @@
 """Multi-instance weighted directed graphs and shortest-path engines.
 
-A multi-instance graph is a fixed node set shared by one or more edge-weighted
-directed instances.  Instances either come straight from an edge list or are
-sampled from a probabilistic edge-length model over a common topology.  All
+A multi-instance graph is a fixed node set and one directed edge list shared
+by one or more instances, each giving every edge a length.  The lengths either
+come straight from an edge list or are sampled from a probabilistic
+edge-length model; an instance without an edge gives it infinite length.  All
 graph values are immutable once built and safe to share across threads; the
 pausable `DijkstraCursor` is the only mutable search state and is single-owner.
 """
@@ -83,101 +84,83 @@ class EdgeLengthModel:
         return lam * (-np.log(u)) ** (1.0 / beta)
 
 
-class Instance:
-    """One weighted directed instance over nodes [0, n)."""
+class MultiInstanceGraph:
+    """ell instances over nodes [0, n) that share one directed edge list.
 
-    __slots__ = ("n", "tails", "heads", "weights", "_radj")
+    Edge e runs from tails[e] to heads[e], and weights[i, e] is its length in
+    instance i.  An instance that lacks an edge gives it infinite length.
+    """
 
-    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray):
-        if not len(tails) == len(heads) == len(weights):
-            raise ValueError("tails, heads and lengths must have one entry per edge")
+    def __init__(
+        self,
+        n: int,
+        tails: Sequence[int],
+        heads: Sequence[int],
+        weights: np.ndarray | Sequence[Sequence[float]] | None = None,
+        labels: Sequence[str] | None = None,
+    ):
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        if any(a.size and a.dtype.kind not in "iu" for a in (tails, heads)):
+            raise ValueError("edge endpoints must be integer node ids")
+        tails, heads = tails.astype(np.int64), heads.astype(np.int64)
+        weights = np.ones((1, len(tails))) if weights is None else np.asarray(weights, dtype=np.float64)
+        if tails.ndim != 1 or heads.shape != tails.shape or weights.ndim != 2 or weights.shape[1] != len(tails):
+            raise ValueError("need one tail and head per edge and an (ell, m) matrix with one length per edge")
+        if not len(weights):
+            raise ValueError("need at least one instance")
         if len(tails) and (min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= n):
             raise ValueError(f"edge endpoints must be node ids in [0, {n})")
         if not (weights > 0).all():
             raise ValueError("edge lengths must be positive (NaN is rejected)")
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"need {n} node labels, got {len(labels)}")
         self.n = n
         self.tails = tails
         self.heads = heads
         self.weights = weights
-        self._radj = None
-
-    @property
-    def radj(self) -> list[list[tuple[int, float]]]:
-        """Transpose adjacency lists of (tail, length), built on first use."""
-        if self._radj is None:
-            radj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for t, h, w in zip(self.tails.tolist(), self.heads.tolist(), self.weights.tolist()):
-                radj[h].append((t, w))
-            self._radj = radj
-        return self._radj
-
-
-class MultiInstanceGraph:
-    """Shared node set with ell directed weighted edge sets."""
-
-    def __init__(self, n: int, instances: Sequence[Instance], labels: Sequence[str] | None = None):
-        if not instances:
-            raise ValueError("need at least one instance")
-        if labels is not None and len(labels) != n:
-            raise ValueError(f"need {n} node labels, got {len(labels)}")
-        self.n = n
-        self.instances = list(instances)
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._radj: list[list[list[tuple[int, float]]] | None] = [None] * len(weights)
+
+    @classmethod
+    def from_arrays(cls, *args, **kwargs) -> "MultiInstanceGraph":
+        """The constructor under the name existing callers use."""
+        return cls(*args, **kwargs)
 
     @property
     def ell(self) -> int:
-        return len(self.instances)
+        return len(self.weights)
 
     def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, heads, weights) of every instance's out-edges, keyed by
-        instance * n + tail; built on first use and kept, as graphs are immutable.
-
-        Instances that share their tail array (all sampled instances do) share
-        one sort of it.
-        """
+        instance * n + tail; built on first use and kept, as graphs are immutable."""
         if self._csr is None:
-            counts, heads, weights = [], [], []
-            tails = order = count = None
-            for inst in self.instances:
-                if inst.tails is not tails:
-                    tails = inst.tails
-                    order = np.argsort(tails, kind="stable")
-                    count = np.bincount(tails, minlength=self.n)
-                counts.append(count)
-                heads.append(inst.heads[order].astype(np.int32))
-                weights.append(inst.weights[order])
+            order = np.argsort(self.tails, kind="stable")
             indptr = np.zeros(self.ell * self.n + 1, dtype=np.int64)
-            np.cumsum(np.concatenate(counts), out=indptr[1:])
-            self._csr = (indptr, np.concatenate(heads), np.concatenate(weights))
+            np.cumsum(np.tile(np.bincount(self.tails, minlength=self.n), self.ell), out=indptr[1:])
+            heads = np.tile(self.heads[order].astype(np.int32), self.ell)
+            self._csr = (indptr, heads, self.weights[:, order].ravel())
         return self._csr
+
+    def radj(self, i: int) -> list[list[tuple[int, float]]]:
+        """Transpose adjacency lists of (tail, length) of instance i, built on
+        first use; edges of infinite length in instance i are left out."""
+        if not 0 <= i < self.ell:
+            raise ValueError(f"instance {i} out of range [0, {self.ell})")
+        if self._radj[i] is None:
+            radj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+            for t, h, w in zip(self.tails.tolist(), self.heads.tolist(), self.weights[i].tolist()):
+                if w < INF:
+                    radj[h].append((t, w))
+            self._radj[i] = radj
+        return self._radj[i]
 
     def node_of_label(self, label: str) -> int:
         try:
             return self._label_index[label]
         except KeyError:
             raise ValueError(f"unknown node label: {label!r}") from None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        n: int,
-        tails: Sequence[int],
-        heads: Sequence[int],
-        weights: np.ndarray | Sequence[Sequence[float]] | None = None,
-        labels: Sequence[str] | None = None,
-    ) -> "MultiInstanceGraph":
-        """Build from parallel edge arrays; weights is (ell, m) or None for unit."""
-        tails, heads = np.asarray(tails), np.asarray(heads)
-        if any(a.size and a.dtype.kind not in "iu" for a in (tails, heads)):
-            raise ValueError("edge endpoints must be integer node ids")
-        tails, heads = tails.astype(np.int64), heads.astype(np.int64)
-        if weights is None:
-            weights = np.ones((1, len(tails)))
-        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-        instances = [Instance(n, tails, heads, w) for w in weights]
-        return cls(n, instances, labels)
 
 
 def load_edge_list(path: str, weighted: bool = False) -> MultiInstanceGraph:
@@ -228,7 +211,7 @@ def load_edge_list(path: str, weighted: bool = False) -> MultiInstanceGraph:
     tails = [t for t, _ in order]
     heads = [h for _, h in order]
     weights = np.array([[best[k] for k in order]], dtype=np.float64)
-    return MultiInstanceGraph.from_arrays(len(labels), tails, heads, weights, labels)
+    return MultiInstanceGraph(len(labels), tails, heads, weights, labels)
 
 
 def sample_instances(base: MultiInstanceGraph, model: EdgeLengthModel, ell: int) -> MultiInstanceGraph:
@@ -237,23 +220,17 @@ def sample_instances(base: MultiInstanceGraph, model: EdgeLengthModel, ell: int)
         raise ValueError("instance sampling starts from a single-instance graph")
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    inst = base.instances[0]
-    weights = model.sample(inst.weights, ell)
-    return MultiInstanceGraph.from_arrays(base.n, inst.tails, inst.heads, weights, base.labels)
+    return MultiInstanceGraph(base.n, base.tails, base.heads, model.sample(base.weights[0], ell), base.labels)
 
 
 def save_npz(g: MultiInstanceGraph, path: str) -> None:
-    """Binary cache of a graph whose instances share one topology; round-trips losslessly."""
-    inst = g.instances[0]
-    if not all(np.array_equal(i.tails, inst.tails) and np.array_equal(i.heads, inst.heads) for i in g.instances):
-        raise ValueError("an npz cache needs every instance to have instance 0's edges")
-    weights = np.stack([i.weights for i in g.instances]) if len(inst.weights) else np.zeros((g.ell, 0))
+    """Binary cache of a graph; round-trips losslessly."""
     np.savez(
         path,
         n=np.int64(g.n),
-        tails=inst.tails,
-        heads=inst.heads,
-        weights=weights,
+        tails=g.tails,
+        heads=g.heads,
+        weights=g.weights,
         labels=np.array(g.labels, dtype="U"),
     )
 
@@ -263,7 +240,7 @@ def load_npz(path: str) -> MultiInstanceGraph:
         missing = {"n", "tails", "heads", "weights", "labels"} - set(data.files)
         if missing:
             raise ValueError(f"{path}: npz cache lacks array(s) {', '.join(sorted(missing))}")
-        return MultiInstanceGraph.from_arrays(
+        return MultiInstanceGraph(
             int(data["n"]), data["tails"], data["heads"], data["weights"], [str(x) for x in data["labels"]]
         )
 
@@ -279,13 +256,12 @@ class DijkstraCursor:
     exactly the nodes within limit and is exhausted after them.
     """
 
-    __slots__ = ("source", "_radj", "_dist", "_heap", "_limit")
+    __slots__ = ("_radj", "_dist", "_heap", "_limit")
 
     def __init__(self, g: MultiInstanceGraph, instance: int, source: int, limit: float = INF):
         if not (0 <= source < g.n):
             raise ValueError(f"source {source} out of range")
-        self.source = (source, instance)
-        self._radj = g.instances[instance].radj
+        self._radj = g.radj(instance)
         self._dist: dict[int, float] = {}
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         self._limit = limit

@@ -77,9 +77,8 @@ def _shortest_in_edges(g: MultiInstanceGraph) -> list[list[float]]:
     """Per instance, every node's shortest in-edge length, self-loops
     ignored; inf for a node with none."""
     out = np.full((g.ell, g.n), INF)
-    for row, inst in zip(out, g.instances):
-        keep = inst.tails != inst.heads
-        np.minimum.at(row, inst.heads[keep], inst.weights[keep])
+    keep = g.tails != g.heads
+    np.minimum.at(out, (slice(None), g.heads[keep]), g.weights[:, keep])
     return out.tolist()
 
 
@@ -417,7 +416,6 @@ def run_pps_im(
     k: int,
     s_max: int | None = None,
     *,
-    coverage_target: float | None = None,
     eps: float | None = None,
     lam: float = 0.5,
     tau0: float | None = None,
@@ -426,15 +424,14 @@ def run_pps_im(
     """Approximate greedy sequence for an arbitrary decay function.
 
     Alternates sample extension (tau decreases) with seed selection until
-    s_max seeds are chosen or coverage reaches the target (full coverage,
-    n * alpha(0), by default).  `eps` switches on adaptive selection.
+    s_max seeds are chosen or coverage is full (n * alpha(0) per instance).
+    `eps` switches on adaptive selection.
     """
     state = PPSState(g, alpha, k, lam=lam, tau0=tau0, seed=seed, eps=eps)
     full = g.n * g.ell * alpha.alpha0
-    target = full if coverage_target is None else coverage_target * full
     limit = min(s_max, g.n) if s_max is not None else g.n
     timings = []
-    while len(state.seeds) < limit and state.coverage < target - 1e-9:
+    while len(state.seeds) < limit and state.coverage < full - 1e-9:
         t0 = time.perf_counter()
         while (pick := state.next_seed()) is None:
             state.lower_tau()

@@ -135,7 +135,7 @@ def build_ads_instance(
     nodes are recorded in typed buffers and sorted once by (node, key); each
     node's sketch is a `CADS` whose columns are views of those arrays.
     """
-    radj = g.instances[instance].radj
+    radj = g.radj(instance)
     col = ranks.rank[:, instance]
     ranked = np.flatnonzero(col)
     ranked = ranked[np.argsort(col[ranked])]

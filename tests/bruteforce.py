@@ -16,8 +16,7 @@ INF = math.inf
 
 
 def instance_edges(g, i):
-    inst = g.instances[i]
-    return list(zip(inst.tails.tolist(), inst.heads.tolist(), inst.weights.tolist()))
+    return list(zip(g.tails.tolist(), g.heads.tolist(), g.weights[i].tolist()))
 
 
 def bf_distances(edges, n, sources):

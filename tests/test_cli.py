@@ -91,8 +91,7 @@ def test_im_alpha_adaptive_mode(edges_file, tmp_path):
 def test_oracle_roundtrip(edges_file, tmp_path, capsys):
     sk = str(tmp_path / "sk.bin")
     rc = main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
-               "--ell", "4", "--seed", "2", "--k", "8", "--decay-agnostic",
-               "--out", sk])
+               "--ell", "4", "--seed", "2", "--k", "8", "--out", sk])
     assert rc == 0
     capsys.readouterr()
     seeds_file = tmp_path / "seeds.txt"
@@ -106,22 +105,22 @@ def test_oracle_roundtrip(edges_file, tmp_path, capsys):
 
 def test_oracle_threshold_requires_matching_decay(edges_file, tmp_path, capsys):
     sk = str(tmp_path / "tsk.bin")
-    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
-                 "--ell", "2", "--seed", "2", "--k", "8", "--threshold", "0.5",
-                 "--out", sk]) == 0
-    capsys.readouterr()
     seeds_file = tmp_path / "seeds.txt"
     seeds_file.write_text("0\n")
-    assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file),
-                 "--decay", "threshold:0.9"]) == 2
-    assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file),
-                 "--decay", "threshold:0.5"]) == 0
+    for built, wrong, right in (("0.5", "threshold:0.9", "threshold:0.5"),
+                                ("0.1234567", "threshold:0.1234568", "threshold:0.1234567")):
+        assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                     "--ell", "2", "--seed", "2", "--k", "8", "--threshold", built,
+                     "--out", sk]) == 0
+        for decay, rc in ((wrong, 2), ("exp:1", 2), (right, 0)):
+            assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file),
+                         "--decay", decay]) == rc
 
 
 @pytest.mark.parametrize("threshold", [False, True])
 def test_oracle_query_rejects_out_of_range_seed(edges_file, tmp_path, capsys, threshold):
     sk = str(tmp_path / "sk.bin")
-    kind = ["--threshold", "0.5"] if threshold else ["--decay-agnostic"]
+    kind = ["--threshold", "0.5"] if threshold else []
     assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
                  "--ell", "2", "--seed", "2", "--k", "8", *kind, "--out", sk]) == 0
     decay = "threshold:0.5" if threshold else "exp:1"

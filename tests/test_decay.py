@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distinf import make_exponential, make_harmonic, make_threshold, parse_decay, truncate
+from distinf import make_exponential, make_harmonic, make_threshold, parse_decay
 
 INF = math.inf
 
@@ -44,8 +44,7 @@ def test_harmonic_values():
 
 def test_monotone_nonincreasing_fuzz():
     rng = np.random.default_rng(1)
-    fns = [make_threshold(0.7), make_exponential(3), make_harmonic(2),
-           truncate(make_exponential(3), 1e-3)]
+    fns = [make_threshold(0.7), make_exponential(3), make_harmonic(2)]
     for fn in fns:
         d = np.sort(rng.uniform(0, 5, size=200))
         vals = [fn(x) for x in d]
@@ -59,18 +58,6 @@ def test_array_eval_matches_scalar():
     for fn in [make_threshold(1.0), make_exponential(2), make_harmonic(5)]:
         arr = fn.eval_array(d)
         assert arr == pytest.approx([fn(x) for x in d], abs=1e-15)
-
-
-def test_truncation_zeroes_small_values():
-    base = make_exponential(1)
-    cut = truncate(base, 0.01)
-    assert cut(1.0) == base(1.0)
-    assert cut(10.0) == 0.0  # e^-10 < 0.01
-    assert cut.support_bound == pytest.approx(-math.log(0.01))
-    # harmonic inverse
-    hcut = truncate(make_harmonic(1), 0.1)
-    assert hcut.support_bound == pytest.approx(9.0)
-    assert truncate(base, 0.0) is base
 
 
 def test_parse_decay_specs():

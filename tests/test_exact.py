@@ -18,7 +18,6 @@ from distinf import (
     make_threshold,
     marg_gain,
     sample_instances,
-    truncate,
 )
 from distinf import exact, graph
 from distinf.exact import _singleton_gains
@@ -165,7 +164,7 @@ def test_greedy_telescopes_and_is_submodular():
 
 
 def test_lazy_greedy_matches_plain_greedy():
-    decays = (make_harmonic(3), make_threshold(1.0), make_exponential(2), truncate(make_exponential(1), 0.2))
+    decays = (make_harmonic(3), make_threshold(1.0), make_exponential(2))
     for seed in range(5):
         for g in (random_graph(40, 3, seed=seed, ell=3), skewed_graph(40, 3, seed, 3)):
             for alpha in decays:
@@ -181,7 +180,7 @@ def test_lazy_greedy_independent_of_batch_size(monkeypatch, batch):
         (g, alpha)
         for seed in range(3)
         for g in (random_graph(50, 3, seed=seed, ell=3), skewed_graph(50, 3, seed, 4))
-        for alpha in (make_harmonic(3), make_threshold(1.0), truncate(make_exponential(1), 0.2))
+        for alpha in (make_harmonic(3), make_threshold(1.0))
     ]
     want = [lazy_greedy(g, alpha, 15) for g, alpha in cases]
     monkeypatch.setattr(exact, "_BATCH", batch)
@@ -221,8 +220,6 @@ DECAYS = {
     "threshold": make_threshold(1.0),
     "exp": make_exponential(1.5),
     "harmonic": make_harmonic(2.0),
-    "truncated": truncate(make_exponential(1.0), 0.2),
-    "truncated-harmonic": truncate(make_harmonic(2.0), 0.25),
 }
 
 
@@ -293,7 +290,7 @@ def test_kernel_residual_equals_add_seed_delta():
         for g in (random_graph(40, 2, seed=seed, ell=3), skewed_graph(40, 3, seed, 2),
                   random_graph(30, 1.5, seed=seed, ell=2, model=EdgeLengthModel.unit())):
             seeds = np.random.default_rng(seed).permutation(g.n)[:12].tolist()
-            for alpha in (make_threshold(1.0), make_harmonic(2), truncate(make_exponential(1), 0.3)):
+            for alpha in (make_threshold(1.0), make_harmonic(2)):
                 residual = ResidualState(g)
                 for s in seeds:
                     add_seed(g, residual, s, alpha)
@@ -335,7 +332,7 @@ def test_evaluate_prefixes_builds_no_adjacency_lists():
     base = random_graph(30, 3, seed=2, ell=1)
     g = sample_instances(base, EdgeLengthModel.exponential(1.0, seed=3), 4)
     evaluate_prefixes(g, [1, 2, 3], make_harmonic(1))
-    assert all(inst._radj is None for inst in g.instances)
+    assert g._radj == [None] * g.ell
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -8,14 +8,16 @@ from distinf import (
     EdgeLengthModel,
     GraphFormatError,
     MultiInstanceGraph,
+    build_ads_instance,
     graph,
     load_edge_list,
     load_npz,
     sample_instances,
     save_npz,
+    structured_ranks,
 )
 
-from bruteforce import bf_all_pairs, random_graph, skewed_graph
+from bruteforce import bf_all_pairs, bf_distances, instance_edges, random_graph, skewed_graph
 
 INF = math.inf
 
@@ -78,34 +80,32 @@ def test_npz_roundtrip(tmp_path):
     save_npz(g, path)
     h = load_npz(path)
     assert h.n == g.n and h.ell == g.ell
-    for a, b in zip(g.instances, h.instances):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.tails, b.tails)
+    for name in ("tails", "heads", "weights"):
+        assert np.array_equal(getattr(g, name), getattr(h, name))
 
 
 def test_empty_edge_list_npz_roundtrip(tmp_path):
     path = str(tmp_path / "g.npz")
     save_npz(MultiInstanceGraph.from_arrays(2, [], []), path)
     h = load_npz(path)
-    assert h.n == 2 and h.instances[0].tails.size == 0
-
-
-def test_save_npz_rejects_instances_with_own_edges(tmp_path):
-    # same edge count, different edges: one stored topology cannot hold both
-    a = MultiInstanceGraph.from_arrays(3, [0, 1], [1, 2]).instances[0]
-    b = MultiInstanceGraph.from_arrays(3, [1, 2], [0, 1]).instances[0]
-    with pytest.raises(ValueError):
-        save_npz(MultiInstanceGraph(3, [a, b]), str(tmp_path / "g.npz"))
+    assert h.n == 2 and h.ell == 1 and h.tails.size == 0 and h.weights.shape == (1, 0)
 
 
 @pytest.mark.parametrize(
-    "tails, heads, lengths",
-    [([0, 1], [1, -1], [1.0, 1.0]), ([0, 1], [1, 5], [1.0, 1.0]), ([0, 1], [1, 2], [1.0, math.nan])],
-    ids=["negative-head", "head-past-n", "nan-length"],
+    "tails, heads, weights",
+    [
+        ([0, 1], [1, -1], [[1.0, 1.0]]),
+        ([0, 1], [1, 5], [[1.0, 1.0]]),
+        ([0, 1], [1, 2], [[1.0, math.nan]]),
+        ([0, 1], [1, 2], [[1.0, 1.0, 1.0]]),
+        ([0, 1], [1, 2], np.ones((0, 2))),
+        ([0, 1], [1, 2], np.ones((1, 1, 2))),
+    ],
+    ids=["negative-head", "head-past-n", "nan-length", "row-too-long", "zero-rows", "3d-weights"],
 )
-def test_instance_rejects_bad_edges(tails, heads, lengths):
+def test_instance_rejects_bad_edges(tails, heads, weights):
     with pytest.raises(ValueError):
-        MultiInstanceGraph.from_arrays(3, tails, heads, [lengths])
+        MultiInstanceGraph.from_arrays(3, tails, heads, weights)
 
 
 # ------------------------------------------------------------- sampling
@@ -124,23 +124,21 @@ def test_sampling_is_deterministic():
     model = EdgeLengthModel.exponential(1.0, seed=7)
     a = sample_instances(base, model, 4)
     b = sample_instances(base, model, 4)
-    for ia, ib in zip(a.instances, b.instances):
-        assert np.array_equal(ia.weights, ib.weights)
+    assert np.array_equal(a.weights, b.weights)
 
 
 def test_sampling_leaves_base_untouched():
     base = line_graph()
-    before = [list(inst.weights) for inst in base.instances]
+    before = base.weights.copy()
     sample_instances(base, EdgeLengthModel.exponential(1.0, seed=3), 5)
-    assert [list(inst.weights) for inst in base.instances] == before
+    assert np.array_equal(base.weights, before)
 
 
 def test_exponential_mean_close_to_one():
     # law of large numbers over >= 1e5 draws
     g = random_graph(500, 4, seed=11, ell=64)
-    draws = np.concatenate([inst.weights for inst in g.instances])
-    assert draws.size >= 100_000
-    assert 0.95 <= draws.mean() <= 1.05
+    assert g.weights.size >= 100_000
+    assert 0.95 <= g.weights.mean() <= 1.05
 
 
 def test_weibull_positive_and_deterministic():
@@ -148,9 +146,8 @@ def test_weibull_positive_and_deterministic():
     model = EdgeLengthModel.weibull(seed=2)
     a = sample_instances(base, model, 8)
     b = sample_instances(base, model, 8)
-    for ia, ib in zip(a.instances, b.instances):
-        assert np.array_equal(ia.weights, ib.weights)
-        assert (ia.weights > 0).all()
+    assert np.array_equal(a.weights, b.weights)
+    assert (a.weights > 0).all()
 
 
 def test_model_validation():
@@ -190,7 +187,7 @@ def _graphs_with_sinks():
 def test_distance_rows_match_bellman_ford(limit):
     sinks = 0
     for g in _graphs_with_sinks():
-        sinks += sum(int((np.bincount(inst.tails, minlength=g.n) == 0).sum()) for inst in g.instances)
+        sinks += int((np.bincount(g.tails, minlength=g.n) == 0).sum())
         for i, ref in enumerate(bf_all_pairs(g)):
             got = graph.distance_rows(g, i, range(g.n), limit)
             assert np.array_equal(got, np.where(ref <= limit, ref, INF))
@@ -229,12 +226,45 @@ def test_distance_rows_mixed_instance_rows():
     assert np.array_equal(rows, np.array([ref[i][s] for i, s in zip(inst, src)]))
 
 
-def test_distance_rows_instances_with_own_topologies():
+def own_topologies_graph():
+    """Instances 0 and 2 have b's edges and instance 1 has a's, on one union
+    edge list where each instance gives the edges it lacks infinite length;
+    also returns each instance's own (tail, head, length) list."""
     a, b = random_graph(25, 2, seed=1), random_graph(25, 3, seed=2, ell=2)
-    g = MultiInstanceGraph(25, [b.instances[0], a.instances[0], b.instances[1]])
-    ref = bf_all_pairs(g)
-    for i in range(g.ell):
-        assert np.array_equal(graph.distance_rows(g, i, range(g.n)), ref[i])
+    own = [instance_edges(b, 0), instance_edges(a, 0), instance_edges(b, 1)]
+    edges = sorted({(t, h) for inst in own for t, h, _ in inst})
+    weights = np.full((3, len(edges)), INF)
+    for i, inst in enumerate(own):
+        for t, h, w in inst:
+            weights[i, edges.index((t, h))] = w
+    return MultiInstanceGraph.from_arrays(25, [t for t, _ in edges], [h for _, h in edges], weights), own
+
+
+def test_distance_rows_instances_with_own_topologies():
+    g, own = own_topologies_graph()
+    for i, edges in enumerate(own):
+        ref = np.array([bf_distances(edges, g.n, [s]) for s in range(g.n)])
+        for limit in (INF, 1.0):
+            assert np.array_equal(graph.distance_rows(g, i, range(g.n), limit), np.where(ref <= limit, ref, INF))
+
+
+def test_cursor_skips_edges_an_instance_lacks():
+    g, own = own_topologies_graph()
+    for i, edges in enumerate(own):
+        reverse = [(h, t, w) for t, h, w in edges]
+        for src in range(g.n):
+            ref = bf_distances(reverse, g.n, [src])
+            assert sorted(settle_until(DijkstraCursor(g, i, src))) == [(v, d) for v, d in enumerate(ref) if d < INF]
+
+
+def test_instance_out_of_range_is_rejected():
+    g = random_graph(10, 2, seed=0, ell=2)
+    ranks = structured_ranks(g.n, g.ell, g.ell, 0)
+    for bad in (-1, g.ell):
+        with pytest.raises(ValueError, match="out of range"):
+            DijkstraCursor(g, bad, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            build_ads_instance(g, bad, ranks, 2)
 
 
 def settle_until(cur, stop=None):

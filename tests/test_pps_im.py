@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from distinf import (
     MultiInstanceGraph,
-    decay,
     influence_exact,
     make_exponential,
     make_harmonic,
@@ -165,7 +164,6 @@ def pps_cases(draw):
     g = draw(small_graphs(max_n=8, loops=True))
     alpha = draw(st.sampled_from([
         make_harmonic(1), make_exponential(2), make_threshold(0.8),
-        decay.truncate(make_exponential(1), 0.2),
     ]))
     k = draw(st.sampled_from([1, 2, 4, 8]))
     lam = draw(st.sampled_from([0.25, 0.5]))

@@ -314,7 +314,7 @@ def test_threshold_sketch_line_graph():
 def test_threshold_sketch_tiny_T_only_self():
     g = random_graph(20, 3, seed=1, ell=2, model=None)
     ra = structured_ranks(20, 2, 2, seed=3)
-    min_w = min(inst.weights.min() for inst in g.instances)
+    min_w = g.weights.min()
     sk = build_threshold_sketches(g, ra, k=5, T=min_w / 2)
     for v in range(20):
         assert set(sk[v].ranks) == {int(ra.rank[v, i]) for i in range(2)}
