@@ -3,15 +3,18 @@
 A multi-instance graph is a fixed node set and one directed edge list shared
 by one or more instances, each giving every edge a length.  The lengths either
 come straight from an edge list or are sampled from a probabilistic
-edge-length model; an instance without an edge gives it infinite length.  All
-graph values are immutable once built and safe to share across threads; the
-pausable `DijkstraCursor` is the only mutable search state and is single-owner.
+edge-length model; an instance without an edge gives it infinite length.  A
+graph holds only numpy arrays, among them a forward CSR over all instances for
+the batched distance kernel and a reverse one for `DijkstraCursor`.  All graph
+values are immutable once built and safe to share across threads; the pausable
+`DijkstraCursor` is the only mutable search state and is single-owner.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -120,8 +123,7 @@ class MultiInstanceGraph:
         self.weights = weights
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._radj: list[list[list[tuple[int, float]]] | None] = [None] * len(weights)
+        self._csr: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_arrays(cls, *args, **kwargs) -> "MultiInstanceGraph":
@@ -133,28 +135,24 @@ class MultiInstanceGraph:
         return len(self.weights)
 
     def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, heads, weights) of every instance's out-edges, keyed by
-        instance * n + tail; built on first use and kept, as graphs are immutable."""
-        if self._csr is None:
-            order = np.argsort(self.tails, kind="stable")
-            indptr = np.zeros(self.ell * self.n + 1, dtype=np.int64)
-            np.cumsum(np.tile(np.bincount(self.tails, minlength=self.n), self.ell), out=indptr[1:])
-            heads = np.tile(self.heads[order].astype(np.int32), self.ell)
-            self._csr = (indptr, heads, self.weights[:, order].ravel())
-        return self._csr
+        """(indptr, heads, weights) of every instance's out-edges, keyed by instance * n + tail."""
+        return self._cached_csr(False)
 
-    def radj(self, i: int) -> list[list[tuple[int, float]]]:
-        """Transpose adjacency lists of (tail, length) of instance i, built on
-        first use; edges of infinite length in instance i are left out."""
-        if not 0 <= i < self.ell:
-            raise ValueError(f"instance {i} out of range [0, {self.ell})")
-        if self._radj[i] is None:
-            radj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for t, h, w in zip(self.tails.tolist(), self.heads.tolist(), self.weights[i].tolist()):
-                if w < INF:
-                    radj[h].append((t, w))
-            self._radj[i] = radj
-        return self._radj[i]
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, tails, weights) of every instance's in-edges, keyed by instance * n + head."""
+        return self._cached_csr(True)
+
+    def _cached_csr(self, reverse: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # built on first use and kept, as graphs are immutable; a node's edges keep
+        # edge-list order, and edges an instance lacks stay in at infinite length
+        if reverse not in self._csr:
+            keys, ends = (self.heads, self.tails) if reverse else (self.tails, self.heads)
+            order = np.argsort(keys, kind="stable")
+            indptr = np.zeros(self.ell * self.n + 1, dtype=np.int64)
+            np.cumsum(np.tile(np.bincount(keys, minlength=self.n), self.ell), out=indptr[1:])
+            ends = np.tile(ends[order].astype(np.int32), self.ell)
+            self._csr[reverse] = (indptr, ends, self.weights[:, order].ravel())
+        return self._csr[reverse]
 
     def node_of_label(self, label: str) -> int:
         try:
@@ -248,23 +246,27 @@ def load_npz(path: str) -> MultiInstanceGraph:
 class DijkstraCursor:
     """Pausable reverse Dijkstra from one node-instance pair.
 
-    Runs on the transpose of the pair's instance, so settled distances are
-    distances *to* the source in the original graph.  `mu` is the smallest
-    unsettled tentative distance (0 initially, inf once exhausted, when
-    `peek` returns None); a search pauses between `settle_next` calls.  With
-    a finite `limit` the search never pushes a node beyond it, so it settles
-    exactly the nodes within limit and is exhausted after them.
+    Reads the pair's instance in the graph's reverse CSR, so settled
+    distances are distances *to* the source in the original graph.  `mu` is
+    the smallest unsettled tentative distance (0 initially, inf once
+    exhausted, when `peek` returns None); a search pauses between
+    `settle_next` calls.  It never pushes a node beyond `limit` or at
+    infinite distance, so it settles exactly the nodes within limit.
     """
 
-    __slots__ = ("_radj", "_dist", "_heap", "_limit")
+    __slots__ = ("_indptr", "_tails", "_weights", "_base", "_dist", "_heap", "_limit")
 
     def __init__(self, g: MultiInstanceGraph, instance: int, source: int, limit: float = INF):
+        if not 0 <= instance < g.ell:
+            raise ValueError(f"instance {instance} out of range [0, {g.ell})")
         if not (0 <= source < g.n):
             raise ValueError(f"source {source} out of range")
-        self._radj = g.radj(instance)
+        # memoryviews: their items and slices read as Python ints and floats
+        self._indptr, self._tails, self._weights = map(memoryview, g.reverse_csr())
+        self._base = instance * g.n
         self._dist: dict[int, float] = {}
         self._heap: list[tuple[float, int]] = [(0.0, source)]
-        self._limit = limit
+        self._limit = min(limit, sys.float_info.max)
 
     def peek(self) -> float | None:
         """Next settle distance, or None when the search is exhausted."""
@@ -287,7 +289,9 @@ class DijkstraCursor:
         dist = self._dist
         dist[u] = d
         push, heap, limit = heapq.heappush, self._heap, self._limit
-        for v, w in self._radj[u]:
+        key = self._base + u
+        lo, hi = self._indptr[key], self._indptr[key + 1]
+        for v, w in zip(self._tails[lo:hi], self._weights[lo:hi]):
             if v not in dist:
                 dv = d + w
                 if dv <= limit:

@@ -118,7 +118,8 @@ class PPSState:
         self.lam = lam
         self.eps = eps  # adaptive accuracy; None for fixed-k selection
         n, ell = g.n, g.ell
-        rank_norm = structured_ranks(n, ell, ell, seed).normalized_matrix()  # (ell, n)
+        ranks = structured_ranks(n, ell, ell, seed)  # ell blocks: every pair is ranked
+        rank_norm = ranks.rank.T / ranks.norm  # (ell, n)
         self.rank_norm = rank_norm.tolist()
         self.delta = np.full((ell, n), INF)
         self.alpha_delta = [[0.0] * n for _ in range(ell)]  # alpha(delta), cached

@@ -69,16 +69,6 @@ class RankAssignment:
         pair = pair[np.argsort(flat[pair])]
         return flat[pair], pair // self.ell, pair % self.ell
 
-    def sources(self) -> list[tuple[int, int, int]]:
-        """Ranked (rank, node, instance) triples in increasing rank order."""
-        return list(zip(*(a.tolist() for a in self.ranked_pairs())))
-
-    def normalized_matrix(self) -> np.ndarray:
-        """(ell, n) matrix of normalized ranks; requires every pair ranked."""
-        if not (self.rank > 0).all():
-            raise ValueError("normalized_matrix needs a fully ranked assignment")
-        return self.rank.T.astype(np.float64) / self.norm
-
 
 def structured_ranks(n: int, ell: int, blocks: int, seed: int) -> RankAssignment:
     """Structured permutation of [1, n*blocks] with the given block count."""
@@ -135,7 +125,12 @@ def build_ads_instance(
     nodes are recorded in typed buffers and sorted once by (node, key); each
     node's sketch is a `CADS` whose columns are views of those arrays.
     """
-    radj = g.radj(instance)
+    if not 0 <= instance < g.ell:
+        raise ValueError(f"instance {instance} out of range [0, {g.ell})")
+    # this instance's reverse (tail, length) lists, dropped on return; inf lengths are never pushed
+    in_edges: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for t, h, w in zip(g.tails.tolist(), g.heads.tolist(), g.weights[instance].tolist()):
+        in_edges[h].append((t, w))
     col = ranks.rank[:, instance]
     ranked = np.flatnonzero(col)
     ranked = ranked[np.argsort(col[ranked])]
@@ -170,7 +165,7 @@ def build_ads_instance(
             add_rank(r)
             add_dist(d)
             add_node(src)
-            for u, w in radj[v]:
+            for u, w in in_edges[v]:
                 du = d + w
                 if du <= cap[u] and du < dist.get(u, INF) and du <= limit:
                     dist[u] = du

@@ -34,7 +34,7 @@ class ThresholdState:
         self.T = T
         self.k = k
         self.ranks: RankAssignment = structured_ranks(g.n, g.ell, g.ell, seed)
-        self.sources = self.ranks.sources()
+        self.pairs = self.ranks.ranked_pairs()  # (rank, node, instance) columns
         self.covered = np.full((g.ell, g.n), INF)
         self.counts = np.zeros(g.n, dtype=np.int64)
         self.contributors: dict[tuple[int, int], list[int]] = {}
@@ -53,14 +53,14 @@ class ThresholdState:
         norm = self.ranks.norm
         while True:
             if self.active is None:
-                if self.next_idx >= len(self.sources):
+                if self.next_idx >= len(self.pairs[0]):
                     u = int(counts.argmax())
                     if counts[u] == 0:
                         return None  # everything in range is covered
                     # ranks exhausted: counts enumerate all uncovered in-range
                     # pairs, so the count itself is the exact estimate
                     return u, counts[u] / g.ell
-                r, v, i = self.sources[self.next_idx]
+                r, v, i = (int(col[self.next_idx]) for col in self.pairs)
                 self.next_idx += 1
                 if self.covered[i, v] <= T:
                     continue  # covered pairs contribute to no sketch

@@ -221,11 +221,24 @@ def skewed_graph(n, avg_deg, seed, ell):
     return sample_instances(base, EdgeLengthModel.exponential(1.0, seed=seed + 1), ell)
 
 
+def gapped_and_tied(g, seed):
+    """Two variants of g: one with about 20% of its lengths set to inf (edges
+    an instance lacks), one with its lengths rounded up to quarters (many
+    distance ties)."""
+    from distinf import MultiInstanceGraph
+
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random(g.weights.shape) < 0.2, INF, g.weights)
+    ties = np.ceil(g.weights * 4) / 4
+    return [MultiInstanceGraph(g.n, g.tails, g.heads, w) for w in (gaps, ties)]
+
+
 @st.composite
-def small_graphs(draw, max_n=10, loops=False):
+def small_graphs(draw, max_n=10, loops=False, missing=False):
     """Graphs on at most max_n nodes with sinks, unit (tied) or random
     lengths, and at most 3 instances; with loops, also self-loops and
-    parallel edges, and at least n edges."""
+    parallel edges, and at least n edges; with missing, some instances may
+    lack some edges (infinite length)."""
     from distinf import MultiInstanceGraph
 
     n = draw(st.integers(1, max_n))
@@ -238,6 +251,9 @@ def small_graphs(draw, max_n=10, loops=False):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         weights = rng.exponential(1.0, (ell, len(edges))) + 1e-3
+    if missing and draw(st.booleans()):
+        lacks = draw(st.lists(st.booleans(), min_size=weights.size, max_size=weights.size))
+        weights[np.array(lacks, dtype=bool).reshape(weights.shape)] = INF
     return MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
 
 

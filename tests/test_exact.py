@@ -17,7 +17,6 @@ from distinf import (
     make_harmonic,
     make_threshold,
     marg_gain,
-    sample_instances,
 )
 from distinf import exact, graph
 from distinf.exact import _singleton_gains
@@ -326,13 +325,6 @@ def test_evaluate_prefixes_returns_python_floats():
     g = random_graph(20, 3, seed=1, ell=2)
     for alpha in DECAYS.values():
         assert all(type(x) is float for x in evaluate_prefixes(g, [0, 3, 7], alpha))
-
-
-def test_evaluate_prefixes_builds_no_adjacency_lists():
-    base = random_graph(30, 3, seed=2, ell=1)
-    g = sample_instances(base, EdgeLengthModel.exponential(1.0, seed=3), 4)
-    evaluate_prefixes(g, [1, 2, 3], make_harmonic(1))
-    assert g._radj == [None] * g.ell
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -9,9 +9,14 @@ from distinf import (
     GraphFormatError,
     MultiInstanceGraph,
     build_ads_instance,
+    build_cads,
+    evaluate_prefixes,
     graph,
     load_edge_list,
     load_npz,
+    make_harmonic,
+    run_pps_im,
+    run_threshold_im,
     sample_instances,
     save_npz,
     structured_ranks,
@@ -249,12 +254,17 @@ def test_distance_rows_instances_with_own_topologies():
 
 
 def test_cursor_skips_edges_an_instance_lacks():
+    # a node reachable only through edges the instance lacks is never
+    # settled, with or without a limit, and mu is inf once the search is done
     g, own = own_topologies_graph()
     for i, edges in enumerate(own):
         reverse = [(h, t, w) for t, h, w in edges]
         for src in range(g.n):
             ref = bf_distances(reverse, g.n, [src])
-            assert sorted(settle_until(DijkstraCursor(g, i, src))) == [(v, d) for v, d in enumerate(ref) if d < INF]
+            for limit in (INF, 1.0):
+                cur = DijkstraCursor(g, i, src, limit)
+                assert sorted(settle_until(cur)) == [(v, d) for v, d in enumerate(ref) if d <= limit and d < INF]
+                assert cur.mu == INF
 
 
 def test_instance_out_of_range_is_rejected():
@@ -265,6 +275,27 @@ def test_instance_out_of_range_is_rejected():
             DijkstraCursor(g, bad, 0)
         with pytest.raises(ValueError, match="out of range"):
             build_ads_instance(g, bad, ranks, 2)
+
+
+def test_algorithms_leave_only_arrays_on_the_graph():
+    # the exact, T-SKIM, alpha-SKIM and sketch paths all search the graph;
+    # afterwards it holds no per-edge Python list, only numpy arrays: the
+    # edge list, the length matrix and the forward and reverse CSRs
+    g = random_graph(30, 3, seed=2, ell=4)
+    evaluate_prefixes(g, [1, 2, 3], make_harmonic(1))
+    run_threshold_im(g, T=0.8, k=4, s_max=3)
+    run_pps_im(g, make_harmonic(1), k=4, s_max=3)
+    build_cads(g, 4, seed=0)
+
+    def leaves(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        return [y for z in x for y in leaves(z)] if isinstance(x, (list, tuple)) else [x]
+
+    node_data = ("n", "labels", "_label_index")  # the node count and per-node labels
+    arrays = leaves([v for name, v in vars(g).items() if name not in node_data])
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert len(arrays) == 3 + 2 * 3
 
 
 def settle_until(cur, stop=None):

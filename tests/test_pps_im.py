@@ -161,7 +161,7 @@ def test_estimator_concentration_fixed_residual():
 
 @st.composite
 def pps_cases(draw):
-    g = draw(small_graphs(max_n=8, loops=True))
+    g = draw(small_graphs(max_n=8, loops=True, missing=True))
     alpha = draw(st.sampled_from([
         make_harmonic(1), make_exponential(2), make_threshold(0.8),
     ]))

@@ -127,7 +127,7 @@ def test_ads_isolated_tail_contributes_only_self():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    small_graphs(loops=True),
+    small_graphs(loops=True, missing=True),
     st.integers(1, 4),
     st.sampled_from(["permutation", "uniform"]),
     st.integers(0, 2**16),
@@ -349,7 +349,7 @@ def test_threshold_sketch_is_exact_bottom_k():
 @st.composite
 def sketch_cases(draw):
     """A small graph, k, T (integers tie with unit lengths) and permutation or uniform ranks."""
-    g = draw(small_graphs())
+    g = draw(small_graphs(missing=True))
     k = draw(st.integers(1, 4))
     T = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.01, 4.0)))
     seed = draw(st.integers(0, 2**16))

@@ -11,7 +11,7 @@ from distinf import (
     run_threshold_im,
 )
 
-from bruteforce import random_graph, residual_delta_bf
+from bruteforce import gapped_and_tied, random_graph, residual_delta_bf
 
 INF = math.inf
 
@@ -53,34 +53,37 @@ def test_validation():
 
 
 def test_marginals_match_exact_prefix_influence():
-    # per-seed exact marginals telescope to the exact influence of the prefix
+    # per-seed exact marginals telescope to the exact influence of the prefix,
+    # also when instances lack edges or distances tie
     for seed in range(4):
-        g = random_graph(40, 3, seed=seed, ell=4)
-        trace = run_threshold_im(g, T=0.7, k=8, s_max=10, seed=seed)
-        alpha = make_threshold(0.7)
-        for s in (1, 5, len(trace)):
-            assert sum(trace.marginals()[:s]) == pytest.approx(
-                influence_exact(g, trace.seeds()[:s], alpha), abs=1e-9
-            )
+        base = random_graph(40, 3, seed=seed, ell=4)
+        for g in [base, *gapped_and_tied(base, seed)]:
+            trace = run_threshold_im(g, T=0.7, k=8, s_max=10, seed=seed)
+            alpha = make_threshold(0.7)
+            for s in (1, 5, len(trace)):
+                assert sum(trace.marginals()[:s]) == pytest.approx(
+                    influence_exact(g, trace.seeds()[:s], alpha), abs=1e-9
+                )
 
 
 def test_covered_distances_match_bruteforce():
     from distinf.threshold_im import ThresholdState
 
     for seed in range(4):
-        g = random_graph(40, 3, seed=seed, ell=2)
-        state = ThresholdState(g, T=0.9, k=6, seed=seed)
-        alpha = make_threshold(0.9)
-        seeds = []
-        for _ in range(6):
-            pick = state._select()
-            if pick is None:
-                break
-            x, _ = pick
-            state._cover(x)
-            seeds.append(x)
-            want = residual_delta_bf(g, seeds, alpha)
-            assert np.allclose(state.covered, want)
+        base = random_graph(40, 3, seed=seed, ell=2)
+        for g in [base, *gapped_and_tied(base, seed)]:
+            state = ThresholdState(g, T=0.9, k=6, seed=seed)
+            alpha = make_threshold(0.9)
+            seeds = []
+            for _ in range(6):
+                pick = state._select()
+                if pick is None:
+                    break
+                x, _ = pick
+                state._cover(x)
+                seeds.append(x)
+                want = residual_delta_bf(g, seeds, alpha)
+                assert np.allclose(state.covered, want)
 
 
 def test_sketch_counts_reflect_uncovered_pairs_only():
