@@ -205,6 +205,8 @@ def cmd_bench(args) -> int:
     elif args.algo == "tskim":
         trace = threshold_im.run_threshold_im(g, args.T, args.k, args.seeds, seed=args.seed)
         report["per_seed_ms"] = [1000 * t for t in trace.metadata["per_seed_sec"]]
+        report["pairs_searched"] = trace.metadata["pairs_searched"]
+        report["ball_entries"] = trace.metadata["ball_entries"]
         report["seeds"] = len(trace)
     elif args.algo == "askim":
         alpha = parse_decay(args.decay)

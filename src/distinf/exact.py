@@ -63,13 +63,6 @@ class GreedyTrace:
     def marginals(self) -> list[float]:
         return [e.exact_marginal for e in self.entries]
 
-    def prefix_influences(self) -> list[float]:
-        out, tot = [], 0.0
-        for e in self.entries:
-            tot += e.exact_marginal
-            out.append(tot)
-        return out
-
     def total(self) -> float:
         return sum(e.exact_marginal for e in self.entries)
 

@@ -5,9 +5,10 @@ by one or more instances, each giving every edge a length.  The lengths either
 come straight from an edge list or are sampled from a probabilistic
 edge-length model; an instance without an edge gives it infinite length.  A
 graph holds only numpy arrays, among them a forward CSR over all instances for
-the batched distance kernel and a reverse one for `DijkstraCursor`.  All graph
-values are immutable once built and safe to share across threads; the pausable
-`DijkstraCursor` is the only mutable search state and is single-owner.
+the batched distance kernel and a reverse one for the batched reverse balls
+and `DijkstraCursor`.  All graph values are immutable once built and safe to
+share across threads; the pausable `DijkstraCursor` is the only mutable
+search state and is single-owner.
 """
 
 from __future__ import annotations
@@ -250,13 +251,13 @@ class DijkstraCursor:
     distances are distances *to* the source in the original graph.  `mu` is
     the smallest unsettled tentative distance (0 initially, inf once
     exhausted, when `peek` returns None); a search pauses between
-    `settle_next` calls.  It never pushes a node beyond `limit` or at
-    infinite distance, so it settles exactly the nodes within limit.
+    `settle_next` calls.  It never pushes a node at infinite distance, so it
+    settles exactly the nodes that reach the source.
     """
 
-    __slots__ = ("_indptr", "_tails", "_weights", "_base", "_dist", "_heap", "_limit")
+    __slots__ = ("_indptr", "_tails", "_weights", "_base", "_dist", "_heap")
 
-    def __init__(self, g: MultiInstanceGraph, instance: int, source: int, limit: float = INF):
+    def __init__(self, g: MultiInstanceGraph, instance: int, source: int):
         if not 0 <= instance < g.ell:
             raise ValueError(f"instance {instance} out of range [0, {g.ell})")
         if not (0 <= source < g.n):
@@ -266,7 +267,6 @@ class DijkstraCursor:
         self._base = instance * g.n
         self._dist: dict[int, float] = {}
         self._heap: list[tuple[float, int]] = [(0.0, source)]
-        self._limit = min(limit, sys.float_info.max)
 
     def peek(self) -> float | None:
         """Next settle distance, or None when the search is exhausted."""
@@ -288,13 +288,13 @@ class DijkstraCursor:
         _, u = heapq.heappop(self._heap)
         dist = self._dist
         dist[u] = d
-        push, heap, limit = heapq.heappush, self._heap, self._limit
+        push, heap = heapq.heappush, self._heap
         key = self._base + u
         lo, hi = self._indptr[key], self._indptr[key + 1]
         for v, w in zip(self._tails[lo:hi], self._weights[lo:hi]):
             if v not in dist:
                 dv = d + w
-                if dv <= limit:
+                if dv < INF:
                     push(heap, (dv, v))
         return u, d
 
@@ -307,11 +307,16 @@ _BLOCK_CELLS = 1 << 20
 _CHUNK_RELAX = 1 << 12
 
 
+def block_rows(n: int) -> int:
+    """Rows of n cells each that fit in one kernel block."""
+    return max(1, _BLOCK_CELLS // max(n, 1))
+
+
 def source_blocks(n: int, count: int | None = None) -> Iterator[range]:
     """Consecutive ranges over count rows (default n) of n distances each,
     every range small enough for one kernel block."""
     count = n if count is None else count
-    step = max(1, _BLOCK_CELLS // max(n, 1))
+    step = block_rows(n)
     for lo in range(0, count, step):
         yield range(lo, min(lo + step, count))
 
@@ -341,13 +346,7 @@ def distance_rows(
     _CHUNK_RELAX); `source_blocks` sizes the blocks.
     """
     n = g.n
-    src, inst = np.broadcast_arrays(np.asarray(sources, dtype=np.int64), np.asarray(instances, dtype=np.int64))
-    if src.ndim != 1:
-        raise ValueError("instances and sources must be scalars or one entry per row")
-    if src.size and (src.min() < 0 or src.max() >= n):
-        raise ValueError("source out of range")
-    if inst.size and (inst.min() < 0 or inst.max() >= g.ell):
-        raise ValueError("instance out of range")
+    src, inst = _pair_rows(g, instances, sources)
     rows = src.size
     cells = rows * n
     if cells > np.iinfo(np.int32).max:
@@ -402,6 +401,85 @@ def distance_rows(
         improved[front] = False
     dist[dist > limit] = INF
     return dist.reshape(rows, n)
+
+
+def _pair_rows(
+    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 (source, instance) columns, one entry per row."""
+    src, inst = np.broadcast_arrays(np.asarray(sources, dtype=np.int64), np.asarray(instances, dtype=np.int64))
+    if src.ndim != 1:
+        raise ValueError("instances and sources must be scalars or one entry per row")
+    if src.size and (src.min() < 0 or src.max() >= g.n):
+        raise ValueError("source out of range")
+    if inst.size and (inst.min() < 0 or inst.max() >= g.ell):
+        raise ValueError("instance out of range")
+    return src, inst
+
+
+def reverse_balls(
+    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int], limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parallel arrays (row, node, dist) of every node within limit of each
+    (instance, source) row, sorted by (row, dist, node).
+
+    Row r is the reverse ball of sources[r] in instances[r]: the nodes whose
+    distance *to* the source is at most limit, read from the reverse CSR.
+    The search keeps its state sparse, as a sorted int64 key row * n + node
+    with one distance per key, so its cost follows the balls' sizes, not n.
+    Each label-correcting round expands the keys that improved in the last
+    round over the reverse CSR, keeps the least candidate per key with one
+    sort, and updates or inserts keys with searchsorted.  As in
+    `distance_rows`, lengths are positive, so distances are bit for bit a
+    reverse `DijkstraCursor`'s, and (dist, node) is the order in which it
+    settles them, unless a length is absorbed (d + w == d) and the absorbed
+    node has the smaller id.  A round expands at most about _BLOCK_CELLS
+    edges at a time.
+    """
+    n = g.n
+    src, inst = _pair_rows(g, instances, sources)
+    limit = min(limit, sys.float_info.max)  # never reach a node at infinite distance
+    indptr, tails, weights = g.reverse_csr()
+    key = np.arange(src.size, dtype=np.int64) * n + src  # sorted, as rows are
+    dist = np.zeros(src.size)
+    front = key
+    while front.size:
+        row, node = np.divmod(front, n)
+        csr = inst[row] * n + node
+        first = indptr[csr]
+        deg = indptr[csr + 1] - first
+        ends = np.cumsum(deg)
+        starts = ends - deg
+        shift = first - starts  # expansion j of key p scans edge j + shift[p]
+        base = dist[np.searchsorted(key, front)]
+        cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right")
+        changed = []
+        for a, b in zip([0, *cuts], [*cuts, front.size]):
+            p = np.repeat(np.arange(a, b), deg[a:b])
+            edge = shift[p] + np.arange(starts[a], starts[a] + p.size)
+            cand = base[p] + weights[edge]
+            tgt = row[p] * n + tails[edge]
+            keep = cand <= limit
+            tgt, cand = tgt[keep], cand[keep]
+            order = np.argsort(tgt)
+            tgt, head = np.unique(tgt[order], return_index=True)
+            cand = np.minimum.reduceat(cand[order], head)
+            pos = np.searchsorted(key, tgt)
+            at = np.minimum(pos, key.size - 1)
+            found = key[at] == tgt
+            better = found & (cand < dist[at])
+            dist[pos[better]] = cand[better]
+            new = ~found
+            key = np.insert(key, pos[new], tgt[new])
+            dist = np.insert(dist, pos[new], cand[new])
+            changed.append(tgt[better | new])
+        front = changed[0] if len(changed) == 1 else np.unique(np.concatenate(changed))
+    row, node = np.divmod(key, n)
+    # keys are in (row, node) order, so a stable sort by (row, dist rank)
+    # gives (row, dist, node) order
+    _, rank = np.unique(dist, return_inverse=True)
+    order = np.argsort(row * key.size + rank, kind="stable")
+    return row[order], node[order], dist[order]
 
 
 def residual_update(

@@ -103,6 +103,84 @@ def greedy_bf(g, alpha, s_max):
     return seeds, marginals
 
 
+def reverse_ball_bf(g, i, v, T):
+    """Nodes within T of v in instance i, in (distance, node) order, by
+    Bellman-Ford on the reversed edges."""
+    dist = bf_distances([(h, t, w) for t, h, w in instance_edges(g, i)], g.n, [v])
+    return [u for d, u in sorted((d, u) for u, d in enumerate(dist) if d <= T)]
+
+
+def tskim_bf(g, ranks, T, k, s_max):
+    """T-SKIM by its definition: ([(seed, exact, estimated)], pairs_covered,
+    balls), where balls lists the ball size of every pair that started.
+
+    Pairs in increasing rank order scan their reverse balls within T in
+    (distance, node) order, unless covered; each scan counts one hit for the
+    scanned node, and the first node to reach k hits is the next seed, with
+    estimate (k - 1) / (rank / norm) / ell.  Covering a seed drops every
+    newly covered pair's hits, and a paused pair resumes only if still
+    uncovered.  Once the ranks run out, the node with the most hits (lowest
+    index on ties) is the seed, estimated at its hits / ell.
+    """
+    n, ell = g.n, g.ell
+    order = sorted((int(ranks.rank[v, i]), v, i) for v in range(n) for i in range(ell) if ranks.rank[v, i])
+    covered: set = set()
+    counts = [0] * n
+    hits: dict = {}
+    balls: list = []
+    trace: list = []
+
+    def scans():
+        for r, v, i in order:
+            if (v, i) in covered:
+                continue
+            ball = reverse_ball_bf(g, i, v, T)
+            balls.append(len(ball))
+            for u in ball:
+                if (v, i) in covered:
+                    break
+                yield r, v, i, u
+
+    def cover(x, est):
+        seeds = [s for s, _, _ in trace] + [x]
+        fresh = []
+        for i in range(ell):
+            dist = bf_distances(instance_edges(g, i), n, seeds)
+            fresh += [(v, i) for v in range(n) if dist[v] <= T and (v, i) not in covered]
+        for pair in fresh:
+            covered.add(pair)
+            for u in hits.pop(pair, []):
+                counts[u] -= 1
+        trace.append((x, len(fresh) / ell, est))
+        return len(trace) == s_max or len(covered) == n * ell
+
+    if s_max == 0:
+        return trace, 0, balls
+    for r, v, i, u in scans():
+        counts[u] += 1
+        hits.setdefault((v, i), []).append(u)
+        if counts[u] == k and cover(u, (k - 1) / (r / ranks.norm) / ell):
+            return trace, len(covered), balls
+    while True:
+        u = max(range(n), key=lambda u: (counts[u], -u))
+        if counts[u] == 0 or cover(u, counts[u] / ell):
+            return trace, len(covered), balls
+
+
+def absorbing_graph(seed, ell=2):
+    """A random graph plus edges x -> y of length 0.5 and z -> x of length
+    1e-17 with z < x, in every instance: 0.5 + 1e-17 == 0.5, so in y's
+    reverse ball z and x tie at 0.5, and z is reached only through x."""
+    from distinf import MultiInstanceGraph
+
+    g = random_graph(16, 2, seed, ell)
+    extra = [(0, 5, 9), (1, 6, 9), (2, 7, 12), (3, 8, 12), (0, 10, 15), (4, 11, 15)]
+    tails = g.tails.tolist() + [t for z, x, y in extra for t in (x, z)]
+    heads = g.heads.tolist() + [h for z, x, y in extra for h in (y, x)]
+    lengths = np.tile([0.5, 1e-17] * len(extra), (ell, 1))
+    return MultiInstanceGraph(g.n, tails, heads, np.hstack([g.weights, lengths]))
+
+
 def cads_bf(g, ranks, k, v, dists=None):
     """Combined sketch of v straight from its defining inclusion rule.
 

@@ -327,6 +327,7 @@ def test_bench_tskim_json(edges_file, tmp_path):
     series = rep["per_seed_ms"]
     cumulative = [sum(series[: i + 1]) for i in range(len(series))]
     assert all(a <= b + 1e-12 for a, b in zip(cumulative, cumulative[1:]))
+    assert rep["pairs_searched"] > 0 and rep["ball_entries"] >= rep["pairs_searched"]
 
 
 def test_bench_askim_has_tau_schedule(edges_file, tmp_path):

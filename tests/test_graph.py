@@ -22,7 +22,15 @@ from distinf import (
     structured_ranks,
 )
 
-from bruteforce import bf_all_pairs, bf_distances, instance_edges, random_graph, skewed_graph
+from bruteforce import (
+    absorbing_graph,
+    bf_all_pairs,
+    bf_distances,
+    instance_edges,
+    random_graph,
+    reverse_ball_bf,
+    skewed_graph,
+)
 
 INF = math.inf
 
@@ -255,16 +263,20 @@ def test_distance_rows_instances_with_own_topologies():
 
 def test_cursor_skips_edges_an_instance_lacks():
     # a node reachable only through edges the instance lacks is never
-    # settled, with or without a limit, and mu is inf once the search is done
+    # settled or in a reverse ball, whatever the limit, and mu is inf once
+    # the search is done
     g, own = own_topologies_graph()
     for i, edges in enumerate(own):
         reverse = [(h, t, w) for t, h, w in edges]
-        for src in range(g.n):
-            ref = bf_distances(reverse, g.n, [src])
-            for limit in (INF, 1.0):
-                cur = DijkstraCursor(g, i, src, limit)
-                assert sorted(settle_until(cur)) == [(v, d) for v, d in enumerate(ref) if d <= limit and d < INF]
-                assert cur.mu == INF
+        refs = [bf_distances(reverse, g.n, [src]) for src in range(g.n)]
+        for src, ref in enumerate(refs):
+            cur = DijkstraCursor(g, i, src)
+            assert sorted(settle_until(cur)) == [(v, d) for v, d in enumerate(ref) if d < INF]
+            assert cur.mu == INF
+        for limit in (INF, 1.0):
+            row, node, dist = graph.reverse_balls(g, i, range(g.n), limit)
+            got = sorted(zip(row.tolist(), node.tolist(), dist.tolist()))
+            assert got == [(s, v, d) for s, ref in enumerate(refs) for v, d in enumerate(ref) if d <= limit and d < INF]
 
 
 def test_instance_out_of_range_is_rejected():
@@ -306,16 +318,49 @@ def settle_until(cur, stop=None):
     return settled
 
 
-def test_bounded_cursor_settles_nodes_within_limit():
+def ball_rows(g, instances, sources, limit):
+    """reverse_balls as one list of (node, dist) pairs per row."""
+    row, node, dist = graph.reverse_balls(g, instances, sources, limit)
+    assert np.all(np.diff(row) >= 0)
+    return [list(zip(node[row == r].tolist(), dist[row == r].tolist())) for r in range(len(sources))]
+
+
+def test_reverse_balls_are_cursor_settles_within_limit():
+    # without absorbed lengths, a ball is the cursor's settle sequence cut
+    # at the limit, in the same order, also among tied distances
     for seed in range(4):
         for g in (random_graph(40, 3, seed=seed, ell=2), skewed_graph(40, 3, seed, 2),
                   random_graph(40, 2, seed=seed, model=EdgeLengthModel.unit())):
-            for src in range(0, g.n, 9):
-                for limit in (0.5, 1.0, 2.0):
-                    whole = settle_until(DijkstraCursor(g, 0, src))
-                    bounded = DijkstraCursor(g, 0, src, limit)
-                    assert settle_until(bounded) == [(u, d) for u, d in whole if d <= limit]
-                    assert bounded.peek() is None and bounded.mu == INF
+            sources = list(range(0, g.n, 3))
+            instances = [s % g.ell for s in sources]
+            for limit in (0.5, 1.0, 2.0, INF):
+                for i, s, ball in zip(instances, sources, ball_rows(g, instances, sources, limit)):
+                    assert ball == [(u, d) for u, d in settle_until(DijkstraCursor(g, i, s)) if d <= limit]
+
+
+def test_reverse_balls_order_absorbed_lengths_by_node():
+    # where d + w == d, a ball keeps (distance, node) order, which the
+    # cursor's heap order does not: it reaches the absorbed node later
+    g = absorbing_graph(0)
+    differs = 0
+    for i in range(g.ell):
+        for s, ball in enumerate(ball_rows(g, i, range(g.n), 1.0)):
+            assert [u for u, _ in ball] == reverse_ball_bf(g, i, s, 1.0)
+            differs += ball != [(u, d) for u, d in settle_until(DijkstraCursor(g, i, s)) if d <= 1.0]
+    assert differs > 0
+
+
+def test_reverse_balls_blocks_and_validation(monkeypatch):
+    g = skewed_graph(40, 3, 7, 2)
+    sources, instances = list(range(g.n)) * 2, [0] * g.n + [1] * g.n
+    want = graph.reverse_balls(g, instances, sources, 2.0)
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 5)  # a round expands 5 edges at a time
+    got = graph.reverse_balls(g, instances, sources, 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [a.size for a in graph.reverse_balls(g, 0, [], 1.0)] == [0, 0, 0]
+    for inst, src in ((0, [g.n]), (2, [0]), (-1, [0])):
+        with pytest.raises(ValueError, match="out of range"):
+            graph.reverse_balls(g, inst, src, 1.0)
 
 
 # ------------------------------------------------------------- cursor

@@ -5,13 +5,24 @@ import pytest
 
 from distinf import (
     MultiInstanceGraph,
+    graph,
     influence_exact,
     lazy_greedy,
     make_threshold,
     run_threshold_im,
+    structured_ranks,
 )
+from distinf.threshold_im import ThresholdState
 
-from bruteforce import gapped_and_tied, random_graph, residual_delta_bf
+from bruteforce import (
+    absorbing_graph,
+    gapped_and_tied,
+    random_graph,
+    residual_delta_bf,
+    reverse_ball_bf,
+    skewed_graph,
+    tskim_bf,
+)
 
 INF = math.inf
 
@@ -67,8 +78,6 @@ def test_marginals_match_exact_prefix_influence():
 
 
 def test_covered_distances_match_bruteforce():
-    from distinf.threshold_im import ThresholdState
-
     for seed in range(4):
         base = random_graph(40, 3, seed=seed, ell=2)
         for g in [base, *gapped_and_tied(base, seed)]:
@@ -86,20 +95,81 @@ def test_covered_distances_match_bruteforce():
                 assert np.allclose(state.covered, want)
 
 
-def test_sketch_counts_reflect_uncovered_pairs_only():
-    from distinf.threshold_im import ThresholdState
+def trace_tuples(trace):
+    return [(e.seed, e.exact_marginal, e.estimated_marginal) for e in trace.entries]
 
-    g = random_graph(25, 3, seed=7, ell=2)
-    state = ThresholdState(g, T=0.8, k=5, seed=1)
-    for _ in range(3):
-        pick = state._select()
-        if pick is None:
-            break
-        state._cover(pick[0])
-    # recompute counts from scratch: processed uncovered pairs whose reverse
-    # ball reaches u within T
-    for (v, i), contrib in state.contributors.items():
-        assert state.covered[i, v] > state.T or not contrib
+
+def tskim_cases():
+    """Small graphs with sampled, gapped (infinite) and tied lengths, and
+    graphs where a length is absorbed (d + w == d)."""
+    for seed in range(3):
+        for base in (random_graph(30, 3, seed=seed, ell=3), skewed_graph(30, 3, seed, 3)):
+            yield seed, base
+            for g in gapped_and_tied(base, seed):
+                yield seed, g
+        yield seed, absorbing_graph(seed, ell=1)
+        yield seed, absorbing_graph(seed, ell=2)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_traces_equal_bruteforce_tskim(monkeypatch, rows):
+    # rows: pairs per batch of reverse balls (None: the module's block size)
+    for seed, g in tskim_cases():
+        if rows is not None:
+            monkeypatch.setattr(graph, "_BLOCK_CELLS", rows * g.n)
+        ranks = structured_ranks(g.n, g.ell, g.ell, seed)
+        for T in (0.5, 1.0, 3.0):
+            for k in (3, 5):
+                want, covered, balls = tskim_bf(g, ranks, T, k, 12)
+                trace = run_threshold_im(g, T, k, 12, seed=seed)
+                assert trace_tuples(trace) == want
+                assert trace.metadata["pairs_covered"] == covered
+                if rows == 1:  # one pair per batch: exactly the pairs that start
+                    assert trace.metadata["pairs_searched"] == len(balls)
+                    assert trace.metadata["ball_entries"] == sum(balls)
+
+
+def test_search_counts_on_line_graph():
+    # one batch holds all three pairs: a's ball is {a}, b's {b, a} and c's
+    # {c, b}, as a is 2 > T away from c
+    trace = run_threshold_im(line_graph(), T=1.5, k=100, s_max=3, seed=0)
+    assert trace.metadata["pairs_searched"] == 3
+    assert trace.metadata["ball_entries"] == 5
+
+
+def test_search_counts_bound_wasted_balls(monkeypatch):
+    # a batch searches uncovered pairs ahead of their turn; the pairs it
+    # searches are never fewer than the pairs that start, and its balls
+    # never hold more than one block of entries
+    g = random_graph(40, 3, seed=5, ell=4)
+    ranks = structured_ranks(g.n, g.ell, g.ell, 5)
+    _, _, balls = tskim_bf(g, ranks, 1.0, 6, 20)
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 7 * g.n)
+    state = ThresholdState(g, T=100.0, k=6, seed=5)
+    state._next_batch()
+    assert state._ball.size <= 7 * g.n and state.pairs_searched == 7
+    trace = run_threshold_im(g, T=1.0, k=6, s_max=20, seed=5)
+    assert trace.metadata["pairs_searched"] >= len(balls)
+    assert trace.metadata["ball_entries"] >= sum(balls)
+
+
+def test_sketch_counts_reflect_uncovered_pairs_only():
+    # after every step, the counts are the hits of the uncovered pairs that
+    # scanned, and each such pair's hits are a prefix of its reverse ball
+    for seed in range(3):
+        g = random_graph(25, 3, seed=7 + seed, ell=2)
+        state = ThresholdState(g, T=0.8, k=5, seed=seed)
+        for _ in range(6):
+            pick = state._select()
+            if pick is None:
+                break
+            for pair, hits in state.contributions.items():
+                i, v = divmod(pair, g.n)
+                assert state.covered[i, v] > state.T
+                assert hits.tolist() == reverse_ball_bf(g, i, v, state.T)[: hits.size]
+            hits = np.concatenate([np.zeros(0, dtype=np.int64), *state.contributions.values()])
+            assert np.array_equal(state.counts, np.bincount(hits, minlength=g.n))
+            state._cover(pick[0])
 
 
 def test_estimated_influence_close_to_exact_at_large_k():
