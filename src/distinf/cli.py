@@ -217,6 +217,8 @@ def cmd_bench(args) -> int:
     elif args.algo == "greedy":
         alpha = parse_decay(args.decay)
         trace = exact.lazy_greedy(g, alpha, args.seeds)
+        report["per_seed_ms"] = [1000 * t for t in trace.metadata["per_seed_sec"]]
+        report["candidates_scored"] = trace.metadata["candidates_scored"]
         report["seeds"] = len(trace)
     else:
         raise ValueError(f"unknown bench algo {args.algo!r}")

@@ -7,16 +7,17 @@ residual problem equals marginal influence in the original one, which is what
 the greedy selection needs.
 
 Every distance here comes from the batched kernel `graph.distance_rows`:
-the singleton pass, each seed commit (`add_seed`, via `residual_update`)
-and the lazy greedy's re-evaluations, which score a batch of stale
-candidates in one pass over (instance, candidate) rows started from the
-residual.
+the singleton pass, `influence_exact` (rows started from the whole seed
+set), each seed commit (`add_seed`, via `residual_update`) and the lazy
+greedy's re-evaluations, which score a batch of stale candidates in one
+pass over (instance, candidate) rows started from the residual.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -30,11 +31,12 @@ INF = math.inf
 # Stale candidates that one lazy-greedy step re-evaluates in one kernel pass.
 # A pass pays a fixed numpy cost per round, shared by the batch, and a cost
 # per cell, ell * n per candidate, also for candidates a smaller batch would
-# never have scored.  Timing the CELF loop alone (20 seeds, 2-core Xeon VM),
-# 8 was best or tied: zipf n=200, ell=8, harmonic:10 took 0.024 s against
-# 0.041 s for a per-candidate heap search, 0.070 s at 1 and 0.023 s at 16;
-# skewed n=2000, ell=16, exp:10 took 0.19 s against 0.55 s, 0.28 s at 16
-# and 0.45 s at 32.
+# never have scored.  Timing the CELF loop after the singleton pass (20
+# seeds, medians, 2-core Xeon VM, Delta-stepping kernel): zipf n=200, ell=8,
+# harmonic:10 took 0.044 s at 8 against 0.134 s at 1, 0.061 s at 4 and
+# 0.040 s at 16; skewed n=2000, ell=16, exp:10 took 0.18 s at 8 against
+# 0.15 s at 1, 0.27 s at 16 and 0.32 s at 32.  8 is within 16% of the best
+# batch on both; the Bellman-Ford-order kernel gave the same picture.
 _BATCH = 8
 
 
@@ -103,10 +105,18 @@ def _check_seed_set(g: MultiInstanceGraph, seeds) -> list[int]:
 
 
 def influence_exact(g: MultiInstanceGraph, seeds, alpha: DecayFunction) -> float:
-    """Average over instances of the summed decayed distance from the seed set:
-    the last prefix influence of `evaluate_prefixes`."""
-    prefixes = evaluate_prefixes(g, seeds, alpha)
-    return prefixes[-1] if prefixes else 0.0
+    """Average over instances of the summed decayed distance from the seed set.
+
+    One kernel call per instance block, each row started from the whole set.
+    """
+    seeds = _check_seed_set(g, seeds)
+    if not seeds:
+        return 0.0
+    total = 0.0
+    for blk in source_blocks(g.n, g.ell):
+        # [seeds] is one (1, s) row of sources, shared by every instance row
+        total += float(alpha.eval_array(distance_rows(g, blk, [seeds], alpha.support_bound)).sum())
+    return total / g.ell
 
 
 def _gain_sums(g: MultiInstanceGraph, delta: np.ndarray, candidates, alpha: DecayFunction) -> np.ndarray:
@@ -171,12 +181,17 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
     re-evaluated in one `marg_gain` call and pushed back fresh; a fresh top
     entry is accepted.  Stale gains only overestimate (submodularity), so
     the accepted node has the largest marginal; ties break to the lowest
-    node index through the queue order.
+    node index through the queue order.  The trace's metadata holds the
+    seconds spent on each seed (`per_seed_sec`; the first includes the
+    singleton pass) and the number of stale candidates re-evaluated
+    (`candidates_scored`).
     """
     if s_max > g.n:
         raise ValueError("s_max exceeds node count")
     residual = ResidualState(g)
     trace = GreedyTrace()
+    timings, scored = [], 0
+    t0 = time.perf_counter()
     heap = [(-gain, u, 0) for u, gain in enumerate(_singleton_gains(g, alpha).tolist())]
     heapq.heapify(heap)
     while len(trace) < s_max and heap:
@@ -184,12 +199,16 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
         if heap[0][2] == fresh:
             u = heapq.heappop(heap)[1]
             trace.append(u, add_seed(g, residual, u, alpha))
+            timings.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
             continue
         stale = []
         while heap and heap[0][2] != fresh and len(stale) < _BATCH:
             stale.append(heapq.heappop(heap)[1])
+        scored += len(stale)
         for u, gain in zip(stale, marg_gain(g, residual, stale, alpha)):
             heapq.heappush(heap, (-gain, u, fresh))
+    trace.metadata.update(per_seed_sec=timings, candidates_scored=scored)
     return trace
 
 

@@ -340,6 +340,17 @@ def test_bench_askim_has_tau_schedule(edges_file, tmp_path):
     assert rep["tau_schedule"]
 
 
+def test_bench_greedy_reports_seed_times_and_candidates(edges_file, tmp_path):
+    out = str(tmp_path / "bench.json")
+    rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
+               "--algo", "greedy", "--decay", "exp:1", "--seeds", "4", "--out", out])
+    assert rc == 0
+    rep = json.loads(open(out).read())
+    assert rep["seeds"] == 4 and len(rep["per_seed_ms"]) == 4
+    assert all(t > 0 for t in rep["per_seed_ms"])
+    assert rep["candidates_scored"] >= 3  # every seed after the first follows at least one re-score
+
+
 def test_bench_oracle_build(edges_file, tmp_path):
     out = str(tmp_path / "bench.json")
     rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "2",

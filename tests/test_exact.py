@@ -189,6 +189,19 @@ def test_lazy_greedy_independent_of_batch_size(monkeypatch, batch):
         assert got.marginals() == w.marginals()
 
 
+def test_lazy_greedy_reports_candidates_scored_and_seed_times():
+    # line graph, harmonic: node 0 (11/6) is taken fresh; nodes 1 and 2 are
+    # then both stale and re-scored in one batch, 1 is taken, and 2 is
+    # re-scored once more before it is taken: 3 candidates scored
+    trace = lazy_greedy(line_graph(), make_harmonic(1), 3)
+    assert trace.metadata["candidates_scored"] == 3
+    g = random_graph(30, 3, seed=9, ell=2)
+    trace = lazy_greedy(g, make_harmonic(1), 6)
+    assert trace.metadata["candidates_scored"] == 64
+    times = trace.metadata["per_seed_sec"]
+    assert len(times) == 6 and all(t > 0 for t in times)
+
+
 def test_singleton_gains_match_per_node_search():
     for seed in range(3):
         for g in (random_graph(40, 3, seed=seed, ell=3), skewed_graph(40, 3, seed, 3)):
@@ -275,6 +288,28 @@ def test_batched_marg_gain_matches_bruteforce(case):
     delta = residual_delta_bf(g, seeds, alpha)
     want = [marg_gain_bf(g, delta, u, alpha) for u in candidates]
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_cases())
+def test_influence_exact_matches_prefixes_and_bruteforce(case):
+    # one kernel call from the whole seed set against one residual update per seed
+    g, seeds, name = case
+    alpha = DECAYS[name]
+    got = influence_exact(g, seeds, alpha)
+    prefixes = evaluate_prefixes(g, seeds, alpha)
+    assert got == pytest.approx(prefixes[-1] if seeds else 0.0, rel=1e-12, abs=0)
+    assert got == pytest.approx(influence_bf(g, seeds, alpha), rel=1e-9, abs=1e-12)
+
+
+def test_influence_exact_split_into_instance_blocks(monkeypatch):
+    g = random_graph(30, 3, seed=4, ell=7)
+    seeds = [5, 11, 2, 29, 17]
+    whole = {name: influence_exact(g, seeds, alpha) for name, alpha in DECAYS.items()}
+    monkeypatch.setattr(graph, "_BLOCK_CELLS", 2 * g.n)
+    for name, alpha in DECAYS.items():
+        assert influence_exact(g, seeds, alpha) == pytest.approx(whole[name], rel=1e-12)
+        assert whole[name] == pytest.approx(evaluate_prefixes(g, seeds, alpha)[-1], rel=1e-12)
 
 
 def _kernel_residual(g, seeds, alpha):

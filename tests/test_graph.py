@@ -26,6 +26,7 @@ from bruteforce import (
     absorbing_graph,
     bf_all_pairs,
     bf_distances,
+    gapped_and_tied,
     instance_edges,
     random_graph,
     reverse_ball_bf,
@@ -239,6 +240,105 @@ def test_distance_rows_mixed_instance_rows():
     assert np.array_equal(rows, np.array([ref[i][s] for i, s in zip(inst, src)]))
 
 
+def bf_rows(g, sources, limit=INF):
+    """Per instance, Bellman-Ford distances from a node set, inf beyond limit."""
+    ref = np.array([bf_distances(instance_edges(g, i), g.n, sources) for i in range(g.ell)])
+    return np.where(ref <= limit, ref, INF)
+
+
+def hard_length_graphs():
+    """Graphs whose lengths test the kernel's relaxation order: absorbed
+    lengths (d + w == d), 20% missing edges and quarter-rounded ties, an
+    instance that lacks every edge, and a graph with no finite length."""
+    for seed in range(3):
+        yield absorbing_graph(seed)
+        yield from gapped_and_tied(skewed_graph(30, 2, seed, 2), seed)
+    g = random_graph(30, 2, seed=5, ell=2)
+    yield MultiInstanceGraph(g.n, g.tails, g.heads, np.vstack([g.weights[:1], np.full(g.weights.shape[1], INF)]))
+    yield MultiInstanceGraph(g.n, g.tails, g.heads, np.full(g.weights.shape, INF))
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["default", "tiny-chunks-and-blocks"])
+def test_distance_rows_equal_bellman_ford_on_hard_lengths(monkeypatch, tiny):
+    if tiny:  # chunks of 5 relaxations (plus one cell's out-edges), blocks of 3 rows of 30
+        monkeypatch.setattr(graph, "_CHUNK_RELAX", 5)
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", 90)
+    for g in hard_length_graphs():
+        for i, ref in enumerate(bf_all_pairs(g)):
+            for limit in (INF, 1.0, 0.5):
+                got = np.concatenate([graph.distance_rows(g, i, blk, limit) for blk in graph.source_blocks(g.n)])
+                assert np.array_equal(got, np.where(ref <= limit, ref, INF))
+
+
+def test_residual_rows_equal_bellman_ford_on_hard_lengths():
+    # a row started from the residual of a seed set comes back as the
+    # residual of the set plus the row's source
+    rng = np.random.default_rng(0)
+    for g in hard_length_graphs():
+        for limit in (INF, 1.0):
+            seeds = rng.permutation(g.n)[:5].tolist()
+            for k, x in enumerate(seeds):
+                got = graph.distance_rows(g, range(g.ell), x, limit, start=bf_rows(g, seeds[:k], limit))
+                assert np.array_equal(got, bf_rows(g, seeds[: k + 1], limit))
+
+
+def test_distance_rows_from_seed_sets():
+    # each row of an (rows, s) array of sources starts from all s nodes
+    for g in (random_graph(30, 2, seed=1, ell=3), absorbing_graph(1), *gapped_and_tied(skewed_graph(30, 2, 2, 2), 2)):
+        for seeds in ([0], [3, 7], [9, 2, 2], [1, 2, 4, 8, 15]):
+            for limit in (INF, 1.0):
+                assert np.array_equal(graph.distance_rows(g, range(g.ell), [seeds], limit), bf_rows(g, seeds, limit))
+        rows = graph.distance_rows(g, [1, 0], [[0, 5], [2, 9]])
+        assert np.array_equal(rows, [bf_rows(g, [0, 5])[1], bf_rows(g, [2, 9])[0]])
+    with pytest.raises(ValueError, match="one source per row"):
+        graph.reverse_balls(g, 0, [[0, 1]], 1.0)
+
+
+class CountedLengths(np.ndarray):
+    """Edge lengths that count the entries read through index arrays; the
+    distance kernel reads one per relaxation."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            self.reads += index.size
+        return np.asarray(super().__getitem__(index))
+
+
+def test_distance_rows_relax_only_improved_cells(monkeypatch):
+    # a unit-length line 0 -> 1 -> ... -> 20 with a shortcut 0 -> 5 of
+    # length 1000: every cell relaxes its out-edges once, when it holds its
+    # final distance.  In Bellman-Ford order, node 5 would also relax at
+    # 1000 and pass that on down the line before node 4 improves it.
+    n = 21
+    g = MultiInstanceGraph(n, [*range(n - 1), 0], [*range(1, n), 5], [[1.0] * (n - 1) + [1000.0]])
+    indptr, heads, weights = g.forward_csr()
+    degree = np.diff(indptr)
+    lengths = weights.view(CountedLengths)
+    lengths.reads = 0
+    monkeypatch.setattr(g, "forward_csr", lambda: (indptr, heads, lengths))
+    rows = graph.distance_rows(g, 0, range(n))
+    assert lengths.reads == degree[np.nonzero(rows < INF)[1]].sum() == 210 + 1
+    # started from a residual, a row relaxes only the cells it improves, and
+    # not the seeds the residual already holds
+    lengths.reads = 0
+    new = graph.distance_rows(g, 0, [10], start=rows[[0]])
+    assert lengths.reads == degree[np.flatnonzero(new[0] < rows[0])].sum() == 10
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0])
+def test_distance_rows_rejects_nan_or_negative_limit(limit):
+    # a NaN limit used to give a row of NaN, the source's own distance included
+    with pytest.raises(ValueError, match="limit"):
+        graph.distance_rows(line_graph(), 0, [0], limit)
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0])
+def test_reverse_balls_reject_nan_or_negative_limit(limit):
+    # a NaN limit used to give a ball of the source alone
+    with pytest.raises(ValueError, match="limit"):
+        graph.reverse_balls(line_graph(), 0, [2], limit)
+
+
 def own_topologies_graph():
     """Instances 0 and 2 have b's edges and instance 1 has a's, on one union
     edge list where each instance gives the edges it lacks infinite length;
@@ -304,8 +404,8 @@ def test_algorithms_leave_only_arrays_on_the_graph():
             x = list(x.values())
         return [y for z in x for y in leaves(z)] if isinstance(x, (list, tuple)) else [x]
 
-    node_data = ("n", "labels", "_label_index")  # the node count and per-node labels
-    arrays = leaves([v for name, v in vars(g).items() if name not in node_data])
+    scalars = ("n", "labels", "_label_index", "median_length")  # node count, per-node labels, one float
+    arrays = leaves([v for name, v in vars(g).items() if name not in scalars])
     assert all(isinstance(a, np.ndarray) for a in arrays)
     assert len(arrays) == 3 + 2 * 3
 
