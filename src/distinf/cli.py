@@ -9,7 +9,7 @@ import sys
 import time
 
 from . import exact, pps_im, sketch, threshold_im
-from .decay import parse_decay
+from .decay import make_threshold, parse_decay
 from .graph import (
     EdgeLengthModel,
     MultiInstanceGraph,
@@ -60,9 +60,7 @@ def _write_trace(trace: exact.GreedyTrace, args, g: MultiInstanceGraph) -> None:
 
 
 def cmd_gen(args) -> int:
-    base = load_edge_list(args.edges, weighted=args.weighted)
-    model = parse_model(args.model, args.seed)
-    g = sample_instances(base, model, args.ell)
+    g = _load_graph(args)
     save_npz(g, args.out)
     print(f"wrote {args.out}: n={g.n} ell={g.ell} m={len(g.tails)}")
     return 0
@@ -153,11 +151,7 @@ def _held_out_graph(args, m: int) -> MultiInstanceGraph:
 
 def _held_out_eval(args, seeds: list[int]) -> None:
     g_eval = _held_out_graph(args, args.eval_instances)
-    alpha = parse_decay(args.decay) if getattr(args, "decay", None) else None
-    if alpha is None:
-        from .decay import make_threshold
-
-        alpha = make_threshold(args.T)
+    alpha = parse_decay(args.decay) if getattr(args, "decay", None) else make_threshold(args.T)
     rows = _eval_rows(g_eval, seeds, alpha)
     _write_eval(rows, args.eval_out)
 

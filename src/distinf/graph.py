@@ -19,6 +19,7 @@ import functools
 import heapq
 import math
 import sys
+import zipfile
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -238,26 +239,54 @@ def sample_instances(base: MultiInstanceGraph, model: EdgeLengthModel, ell: int)
     return MultiInstanceGraph(base.n, base.tails, base.heads, model.sample(base.weights[0], ell), base.labels)
 
 
+def _write_npz(path: str, **arrays) -> None:
+    """Write arrays as one uncompressed npz to exactly `path`; given a name
+    rather than an open file, np.savez would append ".npz" to it."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _read_npz(path: str, what: str, spec: dict[str, tuple[str, int]]) -> dict[str, np.ndarray]:
+    """Every array of an npz file, which must hold each array that spec names
+    with one of the given dtype kinds and number of dimensions.
+
+    A file that is not an npz archive (cut short, a bare .npy, any other
+    file), an array that cannot be read (pickled, damaged) and a missing or
+    misshapen one all raise a one-line ValueError.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a bare .npy
+            raise ValueError
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: truncated or not an npz file") from None
+    with data:
+        try:
+            arrays = {name: data[name] for name in data.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: unreadable array: {exc}") from None
+    missing = sorted(set(spec) - set(arrays))
+    if missing:
+        raise ValueError(f"{path}: not a {what}: lacks array(s) {', '.join(missing)}")
+    for name, (kinds, ndim) in spec.items():
+        a = arrays[name]
+        if a.dtype.kind not in kinds or a.ndim != ndim:
+            raise ValueError(f"{path}: {what} array {name} is {a.ndim}-d {a.dtype}, not {ndim}-d of kind {kinds!r}")
+    return arrays
+
+
+_GRAPH_SPEC = {"n": ("iu", 0), "tails": ("iu", 1), "heads": ("iu", 1), "weights": ("f", 2), "labels": ("U", 1)}
+
+
 def save_npz(g: MultiInstanceGraph, path: str) -> None:
     """Binary cache of a graph; round-trips losslessly."""
-    np.savez(
-        path,
-        n=np.int64(g.n),
-        tails=g.tails,
-        heads=g.heads,
-        weights=g.weights,
-        labels=np.array(g.labels, dtype="U"),
-    )
+    labels = np.array(g.labels, dtype="U")
+    _write_npz(path, n=np.int64(g.n), tails=g.tails, heads=g.heads, weights=g.weights, labels=labels)
 
 
 def load_npz(path: str) -> MultiInstanceGraph:
-    with np.load(path) as data:
-        missing = {"n", "tails", "heads", "weights", "labels"} - set(data.files)
-        if missing:
-            raise ValueError(f"{path}: npz cache lacks array(s) {', '.join(sorted(missing))}")
-        return MultiInstanceGraph(
-            int(data["n"]), data["tails"], data["heads"], data["weights"], [str(x) for x in data["labels"]]
-        )
+    a = _read_npz(path, "graph cache", _GRAPH_SPEC)
+    return MultiInstanceGraph(int(a["n"]), a["tails"], a["heads"], a["weights"], a["labels"].tolist())
 
 
 class DijkstraCursor:

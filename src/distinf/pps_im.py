@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -43,34 +44,6 @@ from .sketch import structured_ranks
 INF = math.inf
 
 Pair = tuple[int, int]  # (node, instance)
-
-
-def _first_contribution_below(entries: list, ad: float, threshold: float, lo: int = 0) -> int:
-    """First index whose contribution alpha(d) - ad falls below the threshold.
-
-    The predicate is evaluated exactly as the classification does, so the
-    boundary agrees with per-entry checks even at float rounding limits.
-    """
-    hi = len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][2] - ad < threshold:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _first_at_most(entries: list, val: float, lo: int = 0) -> int:
-    """First index whose alpha(d) is <= val."""
-    hi = len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if entries[mid][2] <= val:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _shortest_in_edges(g: MultiInstanceGraph) -> list[list[float]]:
@@ -203,7 +176,9 @@ class PPSState:
             ad = self.alpha_delta[i][v]
             r = self.rank_norm[i][v]
             old_hm, old_ml = self.hm[pair], self.ml[pair]
-            new_hm = _first_contribution_below(lst, ad, tau, old_hm)
+            # first entry whose contribution alpha(d) - ad falls below tau; the key
+            # ad - alpha(d) is its exact negation, so the boundary matches per-entry checks
+            new_hm = bisect_right(lst, -tau, lo=old_hm, key=lambda e: ad - e[2])
             for p in range(old_hm, new_hm):
                 u = lst[p][0]
                 if p < old_ml:
@@ -211,7 +186,7 @@ class PPSState:
                 est_h[u] += lst[p][2] - ad
                 self._touch_candidate(u)
             lo = max(old_ml, new_hm)
-            new_ml = _first_contribution_below(lst, ad, r * tau, lo)
+            new_ml = bisect_right(lst, -(r * tau), lo=lo, key=lambda e: ad - e[2])
             for p in range(lo, new_ml):
                 u = lst[p][0]
                 est_m[u] += 1
@@ -356,9 +331,9 @@ class PPSState:
         r = self.rank_norm[i][v]
         est_h, est_m = self.est_h, self.est_m
         old_hm, old_ml = self.hm[pair], self.ml[pair]
-        cut = _first_at_most(lst, new_ad)
-        new_hm = min(_first_contribution_below(lst, new_ad, tau), cut)
-        new_ml = min(_first_contribution_below(lst, new_ad, r * tau, new_hm), cut)
+        cut = bisect_left(lst, -new_ad, key=lambda e: -e[2])  # first entry with alpha(d) <= new_ad
+        new_hm = min(bisect_right(lst, -tau, key=lambda e: new_ad - e[2]), cut)
+        new_ml = min(bisect_right(lst, -(r * tau), lo=new_hm, key=lambda e: new_ad - e[2]), cut)
         for p in range(new_hm):
             est_h[lst[p][0]] += shift
         for p in range(new_hm, old_hm):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph
+from .graph import MultiInstanceGraph, _read_npz, _write_npz
 
 INF = math.inf
 
@@ -318,11 +317,7 @@ class ThresholdSketch:
     n: int
     ell: int
     T: float
-    norm: int = 0
-
-    def __post_init__(self):
-        if self.norm == 0:
-            self.norm = self.n * self.ell
+    norm: int
 
 
 def build_threshold_sketches(
@@ -369,125 +364,97 @@ def threshold_influence_estimate(sketches: Sequence[ThresholdSketch]) -> float:
     return (k - 1) / tau_k / ell
 
 
-_MAGIC = b"DSK1"
-_KIND_CADS = 1
-_KIND_THRESHOLD = 2
-_MODEL_CODE = {"permutation": 0, "uniform": 1}
-_MODEL_NAME = {v: k for k, v in _MODEL_CODE.items()}
-_HEADER = struct.Struct("<4sBBIIIQd")
-_CADS_RECORD = np.dtype([("rank", "<u8"), ("dist", "<f8")])
-_THRESHOLD_RECORD = np.dtype("<u8")
+# The columns of a sketch file besides `dist`, which combined sketches add:
+# node v's ranks (and distances) are entries offsets[v]:offsets[v+1].
+_SKETCH_SPEC = {
+    "offsets": ("i", 1), "rank": ("i", 1),
+    "k": ("i", 0), "n": ("i", 0), "ell": ("i", 0), "seed": ("i", 0), "model": ("U", 0), "T": ("f", 0),
+}
 
 
 def save_sketches(path: str, sketches: Sequence[CADS] | Sequence[ThresholdSketch], seed: int) -> None:
-    """Write sketches as little-endian length-prefixed (rank, distance) records.
+    """Write sketches as one npz of flat columns (see `_SKETCH_SPEC`).
 
-    The header names the rank model the sketches carry: uniform when their
-    rank domain is `UNIFORM_DOMAIN`, otherwise permutation.
+    The file names the rank model the sketches carry: uniform when their rank
+    domain is `UNIFORM_DOMAIN`, otherwise permutation.  T is NaN for combined
+    sketches.
     """
     first = sketches[0]
-    kind = _KIND_CADS if isinstance(first, CADS) else _KIND_THRESHOLD
-    model = _MODEL_CODE["uniform" if first.norm == UNIFORM_DOMAIN else "permutation"]
-    T = getattr(first, "T", float("nan"))
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, kind, model, first.n, first.ell, first.k, seed, T))
-        for sk in sketches:
-            if kind == _KIND_CADS:
-                rec = np.empty(len(sk), _CADS_RECORD)
-                rec["rank"], rec["dist"] = sk.rank, sk.dist
-            else:
-                rec = np.asarray(sk.ranks, dtype=_THRESHOLD_RECORD)
-            fh.write(struct.pack("<I", len(rec)))
-            fh.write(rec.tobytes())
+    combined = isinstance(first, CADS)
+    parts = [np.asarray(sk.rank if combined else sk.ranks, dtype=np.int64) for sk in sketches]
+    extra = {"dist": np.concatenate([sk.dist for sk in sketches])} if combined else {}
+    _write_npz(
+        path,
+        offsets=np.cumsum([0] + [len(p) for p in parts]),
+        rank=np.concatenate(parts),
+        k=np.int64(first.k), n=np.int64(first.n), ell=np.int64(first.ell), seed=np.int64(seed),
+        model=np.str_("uniform" if first.norm == UNIFORM_DOMAIN else "permutation"),
+        T=np.float64(getattr(first, "T", math.nan)),
+        **extra,
+    )
 
 
 def load_sketches(path: str):
     """Read a sketch file back; returns (sketches, ranks, seed).
 
-    A truncated or otherwise malformed file raises ValueError, and so does a
-    combined sketch record with a NaN, infinite or negative distance, an
-    unknown rank, a rank repeated within its sketch, or one out of key order,
-    and a threshold sketch record with an unknown rank, ranks that are not
-    strictly increasing, or more than k ranks.
+    A file that is not a sketch file or is cut short raises ValueError, and
+    so do offsets that disagree with n or with the rank column, a combined
+    sketch with a NaN, infinite or negative distance, an unknown rank, a rank
+    repeated within its sketch, or one out of key order, and a threshold
+    sketch with an unknown rank, ranks that are not strictly increasing, or
+    more than k ranks.  The ranks are rebuilt from the seed.
     """
-    with open(path, "rb") as fh:
-        try:
-            header = _HEADER.unpack(fh.read(_HEADER.size))
-        except struct.error:  # the read came back short
-            raise ValueError(f"{path}: truncated sketch file") from None
-        return _read_sketches(fh.read(), header, path)
-
-
-def _read_records(data: bytes, n: int, dtype: np.dtype, path: str) -> list[np.ndarray]:
-    """The n length-prefixed record arrays that follow the header."""
-    out, pos = [], 0
-    for _ in range(n):
-        end = pos + 4
-        if end > len(data):
-            raise ValueError(f"{path}: truncated sketch file")
-        count = int.from_bytes(data[pos:end], "little")
-        pos = end + count * dtype.itemsize
-        if pos > len(data):
-            raise ValueError(f"{path}: truncated sketch file")
-        out.append(np.frombuffer(data, dtype, count, end))
-    return out
-
-
-def _rank_positions(table: np.ndarray, rank: np.ndarray, raw: np.ndarray, v: int, path: str) -> np.ndarray:
-    """Positions of node v's ranks in the rank table; an unknown rank
-    (reported as stored, raw) raises ValueError."""
-    pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
-    bad = np.flatnonzero(table[pos] != rank)
-    if len(bad):
-        raise ValueError(
-            f"{path}: sketch of node {v} holds rank {raw[bad[0]]}, which belongs to no node-instance pair"
-        )
-    return pos
-
-
-def _read_sketches(data: bytes, header: tuple, path: str):
-    magic, kind, model_code, n, ell, k, seed, T = header
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a sketch file")
+    cols = _read_npz(path, "sketch file", _SKETCH_SPEC)
+    k, n, ell, seed = (int(cols[name]) for name in ("k", "n", "ell", "seed"))
+    model, T = str(cols["model"]), float(cols["T"])
+    offsets, rank, dist = cols["offsets"].astype(np.int64), cols["rank"].astype(np.int64), cols.get("dist")
     if k < 1:
         raise ValueError(f"{path}: sketch size k must be at least 1, got {k}")
     if n < 1 or ell < 1:
         raise ValueError(f"{path}: sketch file needs n, ell >= 1, got n={n} ell={ell}")
-    if kind not in (_KIND_CADS, _KIND_THRESHOLD) or model_code not in _MODEL_NAME:
-        raise ValueError(f"{path}: unknown sketch kind or rank model")
-    model = _MODEL_NAME[model_code]
+    if model not in ("permutation", "uniform"):
+        raise ValueError(f"{path}: unknown rank model {model!r}")
+    # checked before the rank rebuild, whose (n, ell) tables a bogus n would make huge
+    if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(rank) or (np.diff(offsets) < 0).any():
+        raise ValueError(f"{path}: offsets must rise from 0 to the {len(rank)} ranks in n+1={n + 1} steps")
+    if dist is not None and (dist.dtype.kind != "f" or dist.shape != rank.shape):
+        raise ValueError(f"{path}: dist must hold one float distance per rank")
     if model == "uniform":
         ranks = uniform_ranks(n, ell, seed)
-    elif kind == _KIND_CADS:
+    elif dist is not None:
         ranks = assign_ranks(n, ell, k, seed)
     else:
         ranks = structured_ranks(n, ell, ell, seed)
+
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    same = owner[1:] == owner[:-1]  # adjacent entries of one sketch
+
+    def reject(bad: np.ndarray, nodes: np.ndarray, what) -> None:
+        # the first flagged entry j names its node; what(j) describes it
+        j = np.flatnonzero(bad)
+        if len(j):
+            raise ValueError(f"{path}: sketch of node {nodes[j[0]]} {what(j[0])}")
+
+    if dist is not None:
+        dist = dist.astype(np.float64)
+        reject(~(np.isfinite(dist) & (dist >= 0)), owner, lambda j: f"has distance {float(dist[j])!r}")
     table, table_node, table_inst = ranks.ranked_pairs()
-    if kind == _KIND_THRESHOLD:
-        sketches = []
-        for v, rec in enumerate(_read_records(data, n, _THRESHOLD_RECORD, path)):
-            rank = rec.astype(np.int64)
-            _rank_positions(table, rank, rec, v, path)
-            if not (rank[1:] > rank[:-1]).all():
-                raise ValueError(f"{path}: sketch of node {v} has ranks that are not strictly increasing")
-            if len(rank) > k:
-                raise ValueError(f"{path}: sketch of node {v} holds {len(rank)} ranks, more than k={k}")
-            sketches.append(ThresholdSketch(rank.tolist(), k, n, ell, T, ranks.norm))
+    pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
+    reject(table[pos] != rank, owner, lambda j: f"holds rank {rank[j]}, which belongs to no node-instance pair")
+    bounds = offsets.tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if dist is None:
+        reject(same & (rank[1:] <= rank[:-1]), owner, lambda j: "has ranks that are not strictly increasing")
+        size = np.diff(offsets)
+        reject(size > k, np.arange(n), lambda v: f"holds {size[v]} ranks, more than k={k}")
+        sketches = [ThresholdSketch(rank[a:b].tolist(), k, n, ell, T, ranks.norm) for a, b in spans]
         return sketches, ranks, seed
-    sketches = []
-    for v, rec in enumerate(_read_records(data, n, _CADS_RECORD, path)):
-        rank, dist = rec["rank"].astype(np.int64), rec["dist"].copy()
-        bad = np.flatnonzero(~(np.isfinite(dist) & (dist >= 0)))
-        if len(bad):
-            raise ValueError(f"{path}: sketch of node {v} has distance {float(dist[bad[0]])!r}")
-        pos = _rank_positions(table, rank, rec["rank"], v, path)
-        node, inst = table_node[pos], table_inst[pos]
-        sr = np.sort(rank)
-        bad = np.flatnonzero(sr[1:] == sr[:-1])
-        if len(bad):
-            raise ValueError(f"{path}: sketch of node {v} repeats rank {sr[bad[0]]}")
-        d0, d1, v0, v1, i0, i1 = dist[:-1], dist[1:], node[:-1], node[1:], inst[:-1], inst[1:]
-        if not ((d0 < d1) | ((d0 == d1) & ((v0 < v1) | ((v0 == v1) & (i0 < i1))))).all():
-            raise ValueError(f"{path}: sketch of node {v} has records out of key order")
-        sketches.append(CADS(rank, dist, node, inst, k, n, ell, ranks.norm))
+    order = np.lexsort((rank, owner))
+    sr, so = rank[order], owner[order]
+    reject((sr[1:] == sr[:-1]) & (so[1:] == so[:-1]), so, lambda j: f"repeats rank {sr[j]}")
+    node, inst = table_node[pos], table_inst[pos]
+    d0, d1, v0, v1, i0, i1 = dist[:-1], dist[1:], node[:-1], node[1:], inst[:-1], inst[1:]
+    in_order = (d0 < d1) | ((d0 == d1) & ((v0 < v1) | ((v0 == v1) & (i0 < i1))))
+    reject(same & ~in_order, owner, lambda j: "has records out of key order")
+    sketches = [CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, n, ell, ranks.norm) for a, b in spans]
     return sketches, ranks, seed

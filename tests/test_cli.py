@@ -1,6 +1,5 @@
 import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -31,6 +30,12 @@ def test_gen_writes_cache(edges_file, tmp_path, capsys):
     assert main(["gen", "--edges", edges_file, "--model", "exp:1", "--ell", "4",
                  "--seed", "3", "--out", out]) == 0
     assert "n=12 ell=4" in capsys.readouterr().out
+
+
+def test_gen_writes_the_path_it_is_given(edges_file, tmp_path):
+    cache = str(tmp_path / "g.cache")
+    assert main(["gen", "--edges", edges_file, "--ell", "2", "--out", cache]) == 0
+    assert main(["greedy", "exact", "--graph", cache, "--decay", "exp:1", "--seeds", "2"]) == 0
 
 
 def test_greedy_exact_outputs_csv(edges_file, tmp_path):
@@ -133,48 +138,65 @@ def test_oracle_query_rejects_out_of_range_seed(edges_file, tmp_path, capsys, th
         assert "out of range" in capsys.readouterr().err
 
 
+def _query(capsys, sk, decay="exp:1", seeds="0\n"):
+    """Exit code and stderr of `oracle query` on the sketch file sk."""
+    seeds_file = sk.parent / "seeds.txt"
+    seeds_file.write_text(seeds)
+    capsys.readouterr()
+    rc = main(["oracle", "query", "--sketches", str(sk), "--seeds-file", str(seeds_file), "--decay", decay])
+    return rc, capsys.readouterr().err
+
+
 def test_truncated_sketch_file_exits_2(edges_file, tmp_path, capsys):
     sk = tmp_path / "sk.bin"
     assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
                  "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
     cut = tmp_path / "cut.bin"
     cut.write_bytes(sk.read_bytes()[:60])
-    seeds_file = tmp_path / "seeds.txt"
-    seeds_file.write_text("0\n")
-    capsys.readouterr()
-    assert main(["oracle", "query", "--sketches", str(cut), "--seeds-file", str(seeds_file),
-                 "--decay", "exp:1"]) == 2
-    assert "truncated" in capsys.readouterr().err
+    rc, err = _query(capsys, cut)
+    # tmp_path is named after the test, so the message is matched without the path
+    assert rc == 2 and "truncated" in err.replace(str(cut), "") and err.count("\n") == 1
 
 
-def _corrupt_last_records(data, corrupt):
-    """Apply corrupt(records) to the (rank, distance) records of node 0 in a
-    combined sketch file and return the new bytes."""
-    header = struct.calcsize("<4sBBIIIQd")
-    (count,) = struct.unpack_from("<I", data, header)
-    start = header + 4
-    recs = [list(struct.unpack_from("<Qd", data, start + 16 * j)) for j in range(count)]
-    corrupt(recs)
-    body = b"".join(struct.pack("<Qd", r, d) for r, d in recs)
-    return data[:start] + body + data[start + 16 * count:]
+def _write_columns(path, cols):
+    with open(path, "wb") as fh:  # np.savez would add .npz to a bare name
+        np.savez(fh, **cols)
+
+
+def _rewrite(sk, change):
+    """A copy of the sketch file sk whose columns change(cols) has edited."""
+    with np.load(sk) as data:
+        cols = dict(data)
+    change(cols)
+    bad = sk.parent / "bad.bin"
+    _write_columns(bad, cols)
+    return bad
+
+
+def _node_0(corrupt):
+    """Apply corrupt(rank, dist) to the entries of node 0 in place."""
+    def change(cols):
+        a, b = cols["offsets"][:2]
+        corrupt(cols["rank"][a:b], cols["dist"][a:b])
+    return change
 
 
 def _set_last_distance(value):
-    def corrupt(recs):
-        recs[-1][1] = value
+    def corrupt(rank, dist):
+        dist[-1] = value
     return corrupt
 
 
-def _swap_last_two(recs):
-    recs[-2], recs[-1] = recs[-1], recs[-2]
+def _swap_last_two(rank, dist):
+    rank[-2:], dist[-2:] = rank[-2:][::-1].copy(), dist[-2:][::-1].copy()
 
 
-def _repeat_rank(recs):
-    recs[-1][0] = recs[-2][0]
+def _repeat_rank(rank, dist):
+    rank[-1] = rank[-2]
 
 
-def _unknown_rank(recs):
-    recs[-1][0] = 2**64 - 1
+def _unknown_rank(rank, dist):
+    rank[-1] = 2**62
 
 
 @pytest.mark.parametrize(
@@ -185,7 +207,7 @@ def _unknown_rank(recs):
         (_set_last_distance(-1.0), "distance -1.0"),
         (_swap_last_two, "out of key order"),
         (_repeat_rank, "repeats rank"),
-        (_unknown_rank, f"rank {2**64 - 1}, which belongs to no node-instance pair"),
+        (_unknown_rank, f"rank {2**62}, which belongs to no node-instance pair"),
     ],
     ids=["nan", "inf", "negative", "out-of-order", "repeated-rank", "unknown-rank"],
 )
@@ -193,23 +215,17 @@ def test_malformed_sketch_record_exits_2(edges_file, tmp_path, capsys, corrupt, 
     sk = tmp_path / "sk.bin"
     assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
                  "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(_corrupt_last_records(sk.read_bytes(), corrupt))
-    seeds_file = tmp_path / "seeds.txt"
-    seeds_file.write_text("0\n")
-    capsys.readouterr()
-    assert main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(seeds_file),
-                 "--decay", "exp:1"]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "node 0" in err and err.count("\n") == 1
+    rc, err = _query(capsys, _rewrite(sk, _node_0(corrupt)))
+    assert rc == 2 and message in err and "node 0" in err and err.count("\n") == 1
 
 
-def _set_first_threshold_record(data, ranks):
-    """Replace node 0's record in a threshold sketch file by the given ranks."""
-    header = struct.calcsize("<4sBBIIIQd")
-    (count,) = struct.unpack_from("<I", data, header)
-    body = struct.pack(f"<I{len(ranks)}Q", len(ranks), *ranks)
-    return data[:header] + body + data[header + 4 + 8 * count:]
+def _set_node_0_ranks(ranks):
+    """Replace node 0's ranks in a threshold sketch file's columns."""
+    def change(cols):
+        b = cols["offsets"][1]
+        cols["rank"] = np.concatenate([np.array(ranks, dtype=np.int64), cols["rank"][b:]])
+        cols["offsets"][1:] += len(ranks) - b
+    return change
 
 
 @pytest.mark.parametrize(
@@ -227,41 +243,79 @@ def test_malformed_threshold_record_exits_2(edges_file, tmp_path, capsys, ranks,
     sk = tmp_path / "tsk.bin"
     assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
                  "--seed", "2", "--k", "4", "--threshold", "0.5", "--out", str(sk)]) == 0
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(_set_first_threshold_record(sk.read_bytes(), ranks))
-    seeds_file = tmp_path / "seeds.txt"
-    seeds_file.write_text("0\n")
-    capsys.readouterr()
-    assert main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(seeds_file),
-                 "--decay", "threshold:0.5"]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "node 0" in err and err.count("\n") == 1
+    rc, err = _query(capsys, _rewrite(sk, _set_node_0_ranks(ranks)), decay="threshold:0.5")
+    assert rc == 2 and message in err and "node 0" in err and err.count("\n") == 1
+
+
+def _set(**values):
+    def change(cols):
+        cols.update(values)
+    return change
+
+
+def _drop_last(name):
+    def change(cols):
+        cols[name] = cols[name][:-1]
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_set(n=np.int64(13)), "offsets must rise from 0"),
+        (_drop_last("rank"), "offsets must rise from 0"),
+        (_drop_last("dist"), "one float distance per rank"),
+        # fails on the offsets, before a rank rebuild of 2**40 nodes is tried
+        (_set(n=np.int64(2**40), offsets=np.array([0, 1, 2])), "offsets must rise from 0"),
+        (_set(model=np.str_("zipf")), "unknown rank model 'zipf'"),
+        (_set(k=np.array([8, 8])), "array k is 1-d"),
+    ],
+    ids=["offsets-vs-n", "offsets-vs-ranks", "short-dist", "huge-n", "unknown-model", "k-not-scalar"],
+)
+def test_malformed_sketch_columns_exit_2(edges_file, tmp_path, capsys, change, message):
+    sk = tmp_path / "sk.bin"
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                 "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
+    rc, err = _query(capsys, _rewrite(sk, change))
+    assert rc == 2 and message in err and err.count("\n") == 1
 
 
 def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
-    # threshold sketch file of a 2-node, 2-instance graph with k=0 in its header
+    # threshold sketch file of a 2-node, 2-instance graph with k=0
     sk = tmp_path / "k0.bin"
-    sk.write_bytes(struct.pack("<4sBBIIIQd", b"DSK1", 2, 0, 2, 2, 0, 1, 1.0) + struct.pack("<II", 0, 0))
-    seeds_file = tmp_path / "seeds.txt"
-    seeds_file.write_text("0\n")
-    capsys.readouterr()
-    assert main(["oracle", "query", "--sketches", str(sk), "--seeds-file", str(seeds_file),
-                 "--decay", "threshold:1"]) == 2
-    err = capsys.readouterr().err
-    assert "k must be at least 1" in err and "Traceback" not in err
+    _write_columns(sk, {"offsets": np.zeros(3, np.int64), "rank": np.zeros(0, np.int64),
+                        "k": np.int64(0), "n": np.int64(2), "ell": np.int64(2), "seed": np.int64(1),
+                        "model": np.str_("permutation"), "T": np.float64(1.0)})
+    rc, err = _query(capsys, sk, decay="threshold:1")
+    assert rc == 2 and "k must be at least 1" in err and "Traceback" not in err
 
 
 def test_sketch_file_with_no_nodes_exits_2(tmp_path, capsys):
-    # combined sketch file header with the uniform rank model and n=0
+    # combined sketch file with the uniform rank model and n=0
     sk = tmp_path / "n0.bin"
-    sk.write_bytes(struct.pack("<4sBBIIIQd", b"DSK1", 1, 1, 0, 2, 4, 1, math.nan))
-    seeds_file = tmp_path / "seeds.txt"
-    seeds_file.write_text("0\n")
+    _write_columns(sk, {"offsets": np.zeros(1, np.int64), "rank": np.zeros(0, np.int64),
+                        "dist": np.zeros(0), "k": np.int64(4), "n": np.int64(0), "ell": np.int64(2),
+                        "seed": np.int64(1), "model": np.str_("uniform"), "T": np.float64(math.nan)})
+    rc, err = _query(capsys, sk)
+    assert rc == 2 and "n, ell >= 1" in err and "Traceback" not in err
+
+
+def test_wrong_kind_of_file_exits_2(edges_file, tmp_path, capsys):
+    # an old-format sketch file, a graph cache given as sketches, and a sketch
+    # file given as a graph each fail with one line
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"DSK1" + bytes(36))
+    rc, err = _query(capsys, old)
+    assert rc == 2 and "not an npz file" in err and err.count("\n") == 1
+    g, sk = tmp_path / "g.npz", tmp_path / "sk.bin"
+    assert main(["gen", "--edges", edges_file, "--ell", "2", "--out", str(g)]) == 0
+    rc, err = _query(capsys, g)
+    assert rc == 2 and "not a sketch file" in err and err.count("\n") == 1
+    assert main(["oracle", "build", "--graph", str(g), "--k", "4", "--out", str(sk)]) == 0
     capsys.readouterr()
-    assert main(["oracle", "query", "--sketches", str(sk), "--seeds-file", str(seeds_file),
-                 "--decay", "exp:1"]) == 2
+    assert main(["greedy", "exact", "--graph", str(sk), "--decay", "exp:1", "--seeds", "1"]) == 2
     err = capsys.readouterr().err
-    assert "n, ell >= 1" in err and "Traceback" not in err
+    assert "not a graph cache" in err and err.count("\n") == 1
 
 
 def test_trace_stdout_matches_out_file(edges_file, tmp_path, capsys):
@@ -369,19 +423,37 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def _cut_to_300_bytes(p):
+    with open(p, "rb") as fh:
+        data = fh.read()
+    assert len(data) > 300
+    with open(p, "wb") as fh:
+        fh.write(data[:300])
+
+
+def _bare_npy(p):
+    with open(p, "wb") as fh:
+        np.save(fh, np.arange(3))
+
+
 @pytest.mark.parametrize(
-    "change",
-    [{"heads": np.array([1, -1])}, {"labels": np.array(["a"])}, {"weights": None},
-     {"tails": np.array([0.5, 1.0])}],
-    ids=["negative-head", "fewer-labels", "missing-array", "float-tails"],
+    "change, damage",
+    [({"heads": np.array([1, -1])}, None), ({"labels": np.array(["a"])}, None), ({"weights": None}, None),
+     ({"tails": np.array([0.5, 1.0])}, None), ({"labels": np.array(["a", "b", "c"], dtype=object)}, None),
+     ({}, _cut_to_300_bytes), ({}, _bare_npy)],
+    ids=["negative-head", "fewer-labels", "missing-array", "float-tails", "pickled-labels", "cut-to-300-bytes",
+         "bare-npy"],
 )
-def test_bad_npz_is_validation_error(tmp_path, change):
+def test_bad_npz_is_validation_error(tmp_path, capsys, change, damage):
     arrays = {"n": np.int64(3), "tails": np.array([0, 1]), "heads": np.array([1, 2]),
               "weights": np.ones((1, 2)), "labels": np.array(["a", "b", "c"]), **change}
-    p = str(tmp_path / "bad.npz")
+    p = str(tmp_path / "g.npz")
     np.savez(p, **{name: a for name, a in arrays.items() if a is not None})
+    if damage:
+        damage(p)
     rc = main(["greedy", "exact", "--graph", p, "--decay", "harmonic:1", "--seeds", "3"])
-    assert rc == 2
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture
