@@ -43,10 +43,21 @@ def _load_graph(args) -> MultiInstanceGraph:
     return sample_instances(base, model, args.ell)
 
 
-def _read_seeds(path: str, g: MultiInstanceGraph) -> list[int]:
+def _seed(text: str) -> int:
+    """The --seed argument: an integer in [0, 2**63), as sketch files store it."""
+    if not text.isdecimal() or int(text) >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**63), got {text!r}")
+    return int(text)
+
+
+def _read_seeds(path: str, labels: list[str]) -> list[int]:
     """Node indices of the seed labels in a file, one label per line."""
+    index = {label: v for v, label in enumerate(labels)}
     with open(path) as fh:
-        return [g.node_of_label(tok) for tok in (line.strip() for line in fh) if tok]
+        try:
+            return [index[tok] for tok in (line.strip() for line in fh) if tok]
+        except KeyError as exc:
+            raise ValueError(f"unknown node label: {exc.args[0]!r}") from None
 
 
 def _write_trace(trace: exact.GreedyTrace, args, g: MultiInstanceGraph) -> None:
@@ -74,24 +85,16 @@ def cmd_oracle_build(args) -> int:
         sketches = sketch.build_threshold_sketches(g, ranks, args.k, args.threshold)
     else:
         sketches, _ = sketch.build_cads(g, args.k, args.seed)
-    sketch.save_sketches(args.out, sketches, args.seed)
+    sketch.save_sketches(args.out, sketches, args.seed, labels=g.labels)
     build_ms = 1000 * (time.perf_counter() - t0)
     print(f"wrote {args.out}: n={g.n} ell={g.ell} k={args.k} build_ms={build_ms:.1f}")
     return 0
 
 
 def cmd_oracle_query(args) -> int:
-    sketches, _, _ = sketch.load_sketches(args.sketches)
+    sketches, labels, _ = sketch.load_sketches(args.sketches)
     first = sketches[0]
-    seeds = []
-    with open(args.seeds_file) as fh:
-        for line in fh:
-            tok = line.strip()
-            if tok:
-                seeds.append(int(tok))
-    for s in seeds:
-        if not (0 <= s < first.n):
-            raise ValueError(f"seed {s} out of range [0, {first.n})")
+    seeds = _read_seeds(args.seeds_file, labels)
     alpha = parse_decay(args.decay)
     if isinstance(first, sketch.ThresholdSketch):
         if not alpha.name.startswith("threshold:") or alpha.support_bound != first.T:
@@ -178,7 +181,7 @@ def _write_eval(rows, out_path) -> None:
 
 def cmd_eval(args) -> int:
     g_eval = _held_out_graph(args, args.m)
-    seeds = _read_seeds(args.seeds_file, g_eval)
+    seeds = _read_seeds(args.seeds_file, g_eval.labels)
     alpha = parse_decay(args.decay)
     _write_eval(_eval_rows(g_eval, seeds, alpha), args.out)
     return 0
@@ -233,7 +236,7 @@ def _add_graph_args(p, need_model=True):
     if need_model:
         p.add_argument("--model", default="exp:1", help="edge-length model (exp:MEAN, weibull[:HIGH], unit, file)")
         p.add_argument("--ell", type=int, default=64, help="instances to sample")
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_seed, default=0, help="rng seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--model", default="exp:1")
     p.add_argument("--ell", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--model", default="exp:1")
     p.add_argument("--m", type=int, default=512, help="held-out instance count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--seeds-file", required=True)
     p.add_argument("--decay", required=True)
     p.add_argument("--out")

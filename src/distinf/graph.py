@@ -127,7 +127,6 @@ class MultiInstanceGraph:
         self.heads = heads
         self.weights = weights
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._csr: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -171,12 +170,6 @@ class MultiInstanceGraph:
             ends = np.tile(ends[order].astype(np.int32), self.ell)
             self._csr[reverse] = (indptr, ends, self.weights[:, order].ravel())
         return self._csr[reverse]
-
-    def node_of_label(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError:
-            raise ValueError(f"unknown node label: {label!r}") from None
 
 
 def load_edge_list(path: str, weighted: bool = False) -> MultiInstanceGraph:
@@ -247,8 +240,7 @@ def _write_npz(path: str, **arrays) -> None:
 
 
 def _read_npz(path: str, what: str, spec: dict[str, tuple[str, int]]) -> dict[str, np.ndarray]:
-    """Every array of an npz file, which must hold each array that spec names
-    with one of the given dtype kinds and number of dimensions.
+    """Every array of an npz file, which must pass `_check_arrays` with spec.
 
     A file that is not an npz archive (cut short, a bare .npy, any other
     file), an array that cannot be read (pickled, damaged) and a missing or
@@ -265,6 +257,12 @@ def _read_npz(path: str, what: str, spec: dict[str, tuple[str, int]]) -> dict[st
             arrays = {name: data[name] for name in data.files}
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: unreadable array: {exc}") from None
+    _check_arrays(path, what, arrays, spec)
+    return arrays
+
+
+def _check_arrays(path: str, what: str, arrays: dict[str, np.ndarray], spec: dict[str, tuple[str, int]]) -> None:
+    """Raise a one-line ValueError unless arrays holds each array spec names, of its dtype kinds and ndim."""
     missing = sorted(set(spec) - set(arrays))
     if missing:
         raise ValueError(f"{path}: not a {what}: lacks array(s) {', '.join(missing)}")
@@ -272,7 +270,6 @@ def _read_npz(path: str, what: str, spec: dict[str, tuple[str, int]]) -> dict[st
         a = arrays[name]
         if a.dtype.kind not in kinds or a.ndim != ndim:
             raise ValueError(f"{path}: {what} array {name} is {a.ndim}-d {a.dtype}, not {ndim}-d of kind {kinds!r}")
-    return arrays
 
 
 _GRAPH_SPEC = {"n": ("iu", 0), "tails": ("iu", 1), "heads": ("iu", 1), "weights": ("f", 2), "labels": ("U", 1)}

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph, _read_npz, _write_npz
+from .graph import MultiInstanceGraph, _check_arrays, _read_npz, _write_npz
 
 INF = math.inf
 
@@ -60,13 +60,6 @@ class RankAssignment:
     ell: int
     rank: np.ndarray
     norm: int
-
-    def ranked_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (rank, node, instance) of the ranked pairs in increasing rank order."""
-        flat = self.rank.ravel()
-        pair = np.flatnonzero(flat)
-        pair = pair[np.argsort(flat[pair])]
-        return flat[pair], pair // self.ell, pair % self.ell
 
 
 def structured_ranks(n: int, ell: int, blocks: int, seed: int) -> RankAssignment:
@@ -101,14 +94,6 @@ def assign_ranks(n: int, ell: int, k: int, seed: int) -> RankAssignment:
     if k < 1:
         raise ValueError("k must be at least 1")
     return structured_ranks(n, ell, min(ell, k), seed)
-
-
-def _make_ranks(n: int, ell: int, k: int, seed: int, model: str) -> RankAssignment:
-    if model == "permutation":
-        return assign_ranks(n, ell, k, seed)
-    if model == "uniform":
-        return uniform_ranks(n, ell, seed)
-    raise ValueError(f"unknown rank model {model!r}")
 
 
 def build_ads_instance(
@@ -217,6 +202,11 @@ def merge_cads(parts: Sequence[CADS], k: int) -> CADS:
     smallest ranks outright; a positive-distance entry is kept when its rank
     is below the k-th smallest kept rank ahead of it in key order.
     """
+    return _union(parts, k)[0]
+
+
+def _union(parts: Sequence[CADS], k: int) -> tuple[CADS, list[int]]:
+    """`merge_cads`, and per kept entry the k-th smallest rank ahead of it (norm while fewer are)."""
     n, ell, norm = parts[0].n, parts[0].ell, parts[0].norm
     rank, dist, node, inst = (
         np.concatenate(c) for c in zip(*((p.rank, p.dist, p.node, p.instance) for p in parts))
@@ -242,6 +232,7 @@ def merge_cads(parts: Sequence[CADS], k: int) -> CADS:
     # the distance-0 entries lead the key order, and after the cut all are kept
     nz = int(np.count_nonzero(dist[order] == 0.0))
     picked = list(range(nz))  # positions in key order
+    tau = [norm] * nz  # at most k distance-0 ranks are left, so fewer than k are ahead of each
     kept = [-x for x in r[:nz].tolist()]  # max-heap (negated) of the k smallest kept ranks
     heapq.heapify(kept)
     for start in range(nz, len(r), _CHUNK):
@@ -250,21 +241,25 @@ def merge_cads(parts: Sequence[CADS], k: int) -> CADS:
         pos = np.arange(len(seg)) if len(kept) < k else np.flatnonzero(seg < -kept[0])
         for j, x in zip(pos.tolist(), seg[pos].tolist()):
             if len(kept) < k:
+                tau.append(norm)
                 heapq.heappush(kept, -x)
             elif x < -kept[0]:
+                tau.append(-kept[0])
                 heapq.heapreplace(kept, -x)
             else:
                 continue
             picked.append(start + j)
     sel = order[picked]
-    return CADS(rank[sel], dist[sel], node[sel], inst[sel], k, n, ell, norm)
+    return CADS(rank[sel], dist[sel], node[sel], inst[sel], k, n, ell, norm), tau
 
 
 def build_cads(
     g: MultiInstanceGraph, k: int, seed: int, rank_model: str = "permutation"
 ) -> tuple[list[CADS], RankAssignment]:
     """Full preprocessing: ranks, per-instance sketches, combined per node."""
-    ranks = _make_ranks(g.n, g.ell, k, seed, rank_model)
+    if rank_model not in ("permutation", "uniform"):
+        raise ValueError(f"unknown rank model {rank_model!r}")
+    ranks = assign_ranks(g.n, g.ell, k, seed) if rank_model == "permutation" else uniform_ranks(g.n, g.ell, seed)
     per_instance = [build_ads_instance(g, i, ranks, k) for i in range(g.ell)]
     combined = [merge_cads([sk[v] for sk in per_instance], k) for v in range(g.n)]
     return combined, ranks
@@ -290,21 +285,12 @@ def estimate_influence(
     for s in seeds:
         if not 0 <= s < len(sketches):
             raise ValueError(f"seed {s} out of range [0, {len(sketches)})")
-    seed_sketches = [sketches[s] for s in seeds]
-    first = seed_sketches[0]
-    k, norm = first.k, first.norm
-    union = merge_cads(seed_sketches, k)
-    total = 0.0
-    kept: list[int] = []  # max-heap (negated) of the k smallest preceding ranks
-    fn = alpha.fn
-    for r, d in zip(union.rank.tolist(), union.dist.tolist()):
+    first = sketches[seeds[0]]
+    union, tau = _union([sketches[s] for s in seeds], first.k)
+    total, fn, norm = 0.0, alpha.fn, first.norm
+    for d, r_k in zip(union.dist.tolist(), tau):
         if d > 0:
-            tau = (-kept[0] / norm) if len(kept) == k else 1.0
-            total += fn(d) / tau
-        if len(kept) < k:
-            heapq.heappush(kept, -r)
-        elif r < -kept[0]:
-            heapq.heapreplace(kept, -r)
+            total += fn(d) / (r_k / norm)
     return len(seeds) * alpha.alpha0 + total / first.ell
 
 
@@ -364,29 +350,33 @@ def threshold_influence_estimate(sketches: Sequence[ThresholdSketch]) -> float:
     return (k - 1) / tau_k / ell
 
 
-# The columns of a sketch file besides `dist`, which combined sketches add:
-# node v's ranks (and distances) are entries offsets[v]:offsets[v+1].
-_SKETCH_SPEC = {
-    "offsets": ("i", 1), "rank": ("i", 1),
-    "k": ("i", 0), "n": ("i", 0), "ell": ("i", 0), "seed": ("i", 0), "model": ("U", 0), "T": ("f", 0),
-}
+# The columns of a sketch file: node v, named labels[v], holds entries offsets[v]:offsets[v+1]
+# of the entry columns, which are rank and, for combined sketches, those of _CADS_SPEC.
+_SKETCH_SPEC = {"offsets": ("i", 1), "rank": ("i", 1), "labels": ("U", 1), "k": ("i", 0), "n": ("i", 0),
+                "ell": ("i", 0), "seed": ("i", 0), "model": ("U", 0), "T": ("f", 0)}
+_CADS_SPEC = {"dist": ("f", 1), "node": ("iu", 1), "instance": ("iu", 1)}
 
 
-def save_sketches(path: str, sketches: Sequence[CADS] | Sequence[ThresholdSketch], seed: int) -> None:
+def save_sketches(path: str, sketches: Sequence[CADS] | Sequence[ThresholdSketch], seed: int,
+                  labels: Sequence[str] | None = None) -> None:
     """Write sketches as one npz of flat columns (see `_SKETCH_SPEC`).
 
-    The file names the rank model the sketches carry: uniform when their rank
-    domain is `UNIFORM_DOMAIN`, otherwise permutation.  T is NaN for combined
-    sketches.
+    `labels` names the nodes; by default node v is named str(v), as in a
+    graph built without labels.  The file names the rank model the sketches
+    carry: uniform when their rank domain is `UNIFORM_DOMAIN`, otherwise
+    permutation.  T is NaN for combined sketches.
     """
     first = sketches[0]
     combined = isinstance(first, CADS)
     parts = [np.asarray(sk.rank if combined else sk.ranks, dtype=np.int64) for sk in sketches]
-    extra = {"dist": np.concatenate([sk.dist for sk in sketches])} if combined else {}
+    # node and instance are written as int32, which fits every graph the kernels index
+    extra = {name: np.concatenate([getattr(sk, name) for sk in sketches]).astype(np.int32 if kinds == "iu" else float)
+             for name, (kinds, _) in _CADS_SPEC.items()} if combined else {}
     _write_npz(
         path,
         offsets=np.cumsum([0] + [len(p) for p in parts]),
         rank=np.concatenate(parts),
+        labels=np.array([str(v) for v in range(first.n)] if labels is None else labels, dtype="U"),
         k=np.int64(first.k), n=np.int64(first.n), ell=np.int64(first.ell), seed=np.int64(seed),
         model=np.str_("uniform" if first.norm == UNIFORM_DOMAIN else "permutation"),
         T=np.float64(getattr(first, "T", math.nan)),
@@ -395,36 +385,37 @@ def save_sketches(path: str, sketches: Sequence[CADS] | Sequence[ThresholdSketch
 
 
 def load_sketches(path: str):
-    """Read a sketch file back; returns (sketches, ranks, seed).
+    """Read a sketch file back; returns (sketches, labels, seed).
 
-    A file that is not a sketch file or is cut short raises ValueError, and
-    so do offsets that disagree with n or with the rank column, a combined
-    sketch with a NaN, infinite or negative distance, an unknown rank, a rank
-    repeated within its sketch, or one out of key order, and a threshold
-    sketch with an unknown rank, ranks that are not strictly increasing, or
-    more than k ranks.  The ranks are rebuilt from the seed.
+    The rank domain is `UNIFORM_DOMAIN` for uniform ranks, n*ell for
+    permutations (n*ell < 2**63 in any file).  A file that is not a sketch
+    file, is cut short or fails a check raises a one-line ValueError, which
+    names the first bad node for these: ranks in [1, norm]; for combined
+    sketches, distances in [0, inf), pairs in [0, n) x [0, ell), one pair per
+    rank and one rank per pair across the file, no rank twice in a sketch, and
+    key order; for threshold sketches, at most k strictly increasing ranks.
     """
     cols = _read_npz(path, "sketch file", _SKETCH_SPEC)
+    combined = "dist" in cols
+    if combined:
+        _check_arrays(path, "sketch file", cols, _CADS_SPEC)
     k, n, ell, seed = (int(cols[name]) for name in ("k", "n", "ell", "seed"))
-    model, T = str(cols["model"]), float(cols["T"])
-    offsets, rank, dist = cols["offsets"].astype(np.int64), cols["rank"].astype(np.int64), cols.get("dist")
+    model, T, labels = str(cols["model"]), float(cols["T"]), cols["labels"].tolist()
+    offsets, rank = cols["offsets"].astype(np.int64), cols["rank"].astype(np.int64)
     if k < 1:
         raise ValueError(f"{path}: sketch size k must be at least 1, got {k}")
-    if n < 1 or ell < 1:
-        raise ValueError(f"{path}: sketch file needs n, ell >= 1, got n={n} ell={ell}")
+    if n < 1 or ell < 1 or seed < 0:
+        raise ValueError(f"{path}: sketch file needs n, ell >= 1 and seed >= 0, got n={n} ell={ell} seed={seed}")
     if model not in ("permutation", "uniform"):
         raise ValueError(f"{path}: unknown rank model {model!r}")
-    # checked before the rank rebuild, whose (n, ell) tables a bogus n would make huge
-    if len(offsets) != n + 1 or offsets[0] != 0 or offsets[-1] != len(rank) or (np.diff(offsets) < 0).any():
-        raise ValueError(f"{path}: offsets must rise from 0 to the {len(rank)} ranks in n+1={n + 1} steps")
-    if dist is not None and (dist.dtype.kind != "f" or dist.shape != rank.shape):
-        raise ValueError(f"{path}: dist must hold one float distance per rank")
-    if model == "uniform":
-        ranks = uniform_ranks(n, ell, seed)
-    elif dist is not None:
-        ranks = assign_ranks(n, ell, k, seed)
-    else:
-        ranks = structured_ranks(n, ell, ell, seed)
+    if n * ell >= 2**63:
+        raise ValueError(f"{path}: sketch file has n*ell={n * ell} pairs, more than int64 ranks can number")
+    norm = UNIFORM_DOMAIN if model == "uniform" else n * ell
+    lengths = {len(cols[name]) for name in ("rank", *(_CADS_SPEC if combined else ()))}  # of the entry columns
+    if len(offsets) != n + 1 or offsets[0] != 0 or {offsets[-1]} != lengths or (np.diff(offsets) < 0).any():
+        raise ValueError(f"{path}: offsets must rise from 0 to the length of each entry column in n+1={n + 1} steps")
+    if len(labels) != n or len(set(labels)) != n:
+        raise ValueError(f"{path}: need {n} distinct node labels, got {len(set(labels))} distinct of {len(labels)}")
 
     owner = np.repeat(np.arange(n), np.diff(offsets))
     same = owner[1:] == owner[:-1]  # adjacent entries of one sketch
@@ -435,26 +426,32 @@ def load_sketches(path: str):
         if len(j):
             raise ValueError(f"{path}: sketch of node {nodes[j[0]]} {what(j[0])}")
 
-    if dist is not None:
-        dist = dist.astype(np.float64)
-        reject(~(np.isfinite(dist) & (dist >= 0)), owner, lambda j: f"has distance {float(dist[j])!r}")
-    table, table_node, table_inst = ranks.ranked_pairs()
-    pos = np.minimum(np.searchsorted(table, rank), len(table) - 1)
-    reject(table[pos] != rank, owner, lambda j: f"holds rank {rank[j]}, which belongs to no node-instance pair")
-    bounds = offsets.tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if dist is None:
+    reject((rank < 1) | (rank > norm), owner, lambda j: f"holds rank {rank[j]} outside [1, {norm}]")
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    if not combined:
         reject(same & (rank[1:] <= rank[:-1]), owner, lambda j: "has ranks that are not strictly increasing")
         size = np.diff(offsets)
         reject(size > k, np.arange(n), lambda v: f"holds {size[v]} ranks, more than k={k}")
-        sketches = [ThresholdSketch(rank[a:b].tolist(), k, n, ell, T, ranks.norm) for a, b in spans]
-        return sketches, ranks, seed
-    order = np.lexsort((rank, owner))
-    sr, so = rank[order], owner[order]
-    reject((sr[1:] == sr[:-1]) & (so[1:] == so[:-1]), so, lambda j: f"repeats rank {sr[j]}")
-    node, inst = table_node[pos], table_inst[pos]
+        sketches = [ThresholdSketch(rank[a:b].tolist(), k, n, ell, T, norm) for a, b in spans]
+        return sketches, labels, seed
+    dist = cols["dist"].astype(np.float64)
+    node, inst = cols["node"].astype(np.int64), cols["instance"].astype(np.int64)
+    reject(~(np.isfinite(dist) & (dist >= 0)), owner, lambda j: f"has distance {float(dist[j])!r}")
+    reject((node < 0) | (node >= n) | (inst < 0) | (inst >= ell), owner,
+           lambda j: f"names pair ({node[j]}, {inst[j]}) outside [0, {n}) x [0, {ell})")
+    # across the file a rank names one pair and a pair has one rank, so neighbours in rank order
+    # and in pair order share both or neither; stable sorts keep each group in owner order
+    by_rank = np.argsort(rank, kind="stable")
+    for order in (by_rank, np.lexsort((inst, node))):
+        lo, hi = order[:-1], order[1:]
+        same_rank, same_pair = rank[lo] == rank[hi], (node[lo] == node[hi]) & (inst[lo] == inst[hi])
+        reject(same_rank != same_pair, owner[lo],
+               lambda j: f"gives rank {rank[lo[j]]} to pair ({node[lo[j]]}, {inst[lo[j]]}); node {owner[hi[j]]}'s "
+               f"sketch gives rank {rank[hi[j]]} to pair ({node[hi[j]]}, {inst[hi[j]]})")
+    lo, hi = by_rank[:-1], by_rank[1:]
+    reject((rank[lo] == rank[hi]) & (owner[lo] == owner[hi]), owner[lo], lambda j: f"repeats rank {rank[lo[j]]}")
     d0, d1, v0, v1, i0, i1 = dist[:-1], dist[1:], node[:-1], node[1:], inst[:-1], inst[1:]
     in_order = (d0 < d1) | ((d0 == d1) & ((v0 < v1) | ((v0 == v1) & (i0 < i1))))
     reject(same & ~in_order, owner, lambda j: "has records out of key order")
-    sketches = [CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, n, ell, ranks.norm) for a, b in spans]
-    return sketches, ranks, seed
+    sketches = [CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, n, ell, norm) for a, b in spans]
+    return sketches, labels, seed

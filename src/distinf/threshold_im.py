@@ -46,7 +46,8 @@ class ThresholdState:
         self.T = T
         self.k = k
         self.ranks: RankAssignment = structured_ranks(g.n, g.ell, g.ell, seed)
-        self.pairs = self.ranks.ranked_pairs()  # (rank, node, instance) columns
+        order = np.argsort(self.ranks.rank, axis=None)  # ell blocks: every pair is ranked
+        self.pairs = (self.ranks.rank.ravel()[order], order // g.ell, order % g.ell)  # (rank, node, instance)
         self.covered = np.full((g.ell, g.n), INF)
         self.counts = np.zeros(g.n, dtype=np.int64)
         # pair of each uncovered pair that has scanned -> the nodes it

@@ -1,9 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from distinf import (
+    estimate_influence,
+    load_edge_list,
+    load_sketches,
+    parse_decay,
+    threshold_influence_estimate,
+)
 from distinf.cli import main
 
 
@@ -124,6 +136,7 @@ def test_oracle_threshold_requires_matching_decay(edges_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("threshold", [False, True])
 def test_oracle_query_rejects_out_of_range_seed(edges_file, tmp_path, capsys, threshold):
+    # seeds are node labels; "-1" and "12" name no node of the 12-node graph
     sk = str(tmp_path / "sk.bin")
     kind = ["--threshold", "0.5"] if threshold else []
     assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
@@ -135,7 +148,7 @@ def test_oracle_query_rejects_out_of_range_seed(edges_file, tmp_path, capsys, th
         capsys.readouterr()
         assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file),
                      "--decay", decay]) == 2
-        assert "out of range" in capsys.readouterr().err
+        assert f"unknown node label: {bad!r}" in capsys.readouterr().err
 
 
 def _query(capsys, sk, decay="exp:1", seeds="0\n"):
@@ -174,29 +187,47 @@ def _rewrite(sk, change):
 
 
 def _node_0(corrupt):
-    """Apply corrupt(rank, dist) to the entries of node 0 in place."""
+    """Apply corrupt(rank, dist, node, instance) to the entries of node 0 in place."""
     def change(cols):
         a, b = cols["offsets"][:2]
-        corrupt(cols["rank"][a:b], cols["dist"][a:b])
+        corrupt(*(cols[name][a:b] for name in ("rank", "dist", "node", "instance")))
+        cols["ell"] = np.int64(3)  # ranks 25..36 of the 12 * 3 pairs name no pair in the file
     return change
 
 
 def _set_last_distance(value):
-    def corrupt(rank, dist):
+    def corrupt(rank, dist, node, inst):
         dist[-1] = value
     return corrupt
 
 
-def _swap_last_two(rank, dist):
-    rank[-2:], dist[-2:] = rank[-2:][::-1].copy(), dist[-2:][::-1].copy()
+def _swap_last_two(*cols):
+    for c in cols:
+        c[-2:] = c[-2:][::-1].copy()
 
 
-def _repeat_rank(rank, dist):
+def _repeat_entry(rank, dist, node, inst):
+    rank[-1], node[-1], inst[-1] = rank[-2], node[-2], inst[-2]
+
+
+def _rank_of_two_pairs(rank, *cols):
     rank[-1] = rank[-2]
 
 
-def _unknown_rank(rank, dist):
+def _pair_of_two_ranks(rank, *cols):
+    rank[-1] = 25
+
+
+def _unknown_rank(rank, *cols):
     rank[-1] = 2**62
+
+
+def _unknown_node(rank, dist, node, inst):
+    node[-1] = 12
+
+
+def _negative_instance(rank, dist, node, inst):
+    inst[-1] = -1
 
 
 @pytest.mark.parametrize(
@@ -206,10 +237,15 @@ def _unknown_rank(rank, dist):
         (_set_last_distance(math.inf), "distance inf"),
         (_set_last_distance(-1.0), "distance -1.0"),
         (_swap_last_two, "out of key order"),
-        (_repeat_rank, "repeats rank"),
-        (_unknown_rank, f"rank {2**62}, which belongs to no node-instance pair"),
+        (_repeat_entry, "repeats rank"),
+        (_unknown_rank, f"holds rank {2**62} outside [1, 36]"),
+        (_rank_of_two_pairs, "'s sketch gives rank"),
+        (_pair_of_two_ranks, "rank 25 to pair"),
+        (_unknown_node, "names pair (12, "),
+        (_negative_instance, ", -1) outside [0, 12) x [0, 3)"),
     ],
-    ids=["nan", "inf", "negative", "out-of-order", "repeated-rank", "unknown-rank"],
+    ids=["nan", "inf", "negative", "out-of-order", "repeated-rank", "unknown-rank", "rank-of-two-pairs",
+         "pair-of-two-ranks", "unknown-node", "negative-instance"],
 )
 def test_malformed_sketch_record_exits_2(edges_file, tmp_path, capsys, corrupt, message):
     sk = tmp_path / "sk.bin"
@@ -231,7 +267,7 @@ def _set_node_0_ranks(ranks):
 @pytest.mark.parametrize(
     "ranks, message",
     [
-        ([1, 10**12], f"rank {10**12}, which belongs to no node-instance pair"),
+        ([1, 10**12], f"holds rank {10**12} outside [1, 24]"),
         ([2, 1], "not strictly increasing"),
         ([1, 1], "not strictly increasing"),
         ([1, 2, 3, 4, 5], "holds 5 ranks, more than k=4"),
@@ -253,6 +289,13 @@ def _set(**values):
     return change
 
 
+def _drop(*names):
+    def change(cols):
+        for name in names:
+            del cols[name]
+    return change
+
+
 def _drop_last(name):
     def change(cols):
         cols[name] = cols[name][:-1]
@@ -264,13 +307,22 @@ def _drop_last(name):
     [
         (_set(n=np.int64(13)), "offsets must rise from 0"),
         (_drop_last("rank"), "offsets must rise from 0"),
-        (_drop_last("dist"), "one float distance per rank"),
-        # fails on the offsets, before a rank rebuild of 2**40 nodes is tried
+        (_drop_last("dist"), "offsets must rise from 0 to the length of each entry column"),
+        (_drop_last("instance"), "offsets must rise from 0 to the length of each entry column"),
+        # fails on the offsets, before any per-node array of 2**40 entries is made
         (_set(n=np.int64(2**40), offsets=np.array([0, 1, 2])), "offsets must rise from 0"),
         (_set(model=np.str_("zipf")), "unknown rank model 'zipf'"),
         (_set(k=np.array([8, 8])), "array k is 1-d"),
+        (_set(seed=np.int64(-3)), "needs n, ell >= 1 and seed >= 0, got n=12 ell=2 seed=-3"),
+        # n*ell = 3 * 2**64 would overflow the int64 rank thresholds of a query
+        (_set(ell=np.int64(2**62)), "more than int64 ranks can number"),
+        (_set(labels=np.array(["0", "0", *map(str, range(2, 12))])), "need 12 distinct node labels"),
+        (_set(labels=np.array(["0"])), "need 12 distinct node labels"),
+        (_drop("node", "instance", "labels"), "not a sketch file: lacks array(s) labels"),
+        (_drop("node", "instance"), "not a sketch file: lacks array(s) instance, node"),
     ],
-    ids=["offsets-vs-n", "offsets-vs-ranks", "short-dist", "huge-n", "unknown-model", "k-not-scalar"],
+    ids=["offsets-vs-n", "offsets-vs-ranks", "short-dist", "short-instance", "huge-n", "unknown-model",
+         "k-not-scalar", "negative-seed", "ell-overflows-ranks", "repeated-label", "fewer-labels", "pre-label-file", "no-pair-columns"],
 )
 def test_malformed_sketch_columns_exit_2(edges_file, tmp_path, capsys, change, message):
     sk = tmp_path / "sk.bin"
@@ -280,11 +332,31 @@ def test_malformed_sketch_columns_exit_2(edges_file, tmp_path, capsys, change, m
     assert rc == 2 and message in err and err.count("\n") == 1
 
 
+def test_sketch_file_claiming_huge_ell_loads_in_bounded_memory(edges_file, tmp_path, capsys):
+    # no (n, ell) table is made, so memory is bounded by the file, not by its ell
+    sk = tmp_path / "sk.bin"
+    assert main(["oracle", "build", "--edges", edges_file, "--model", "exp:1",
+                 "--ell", "2", "--seed", "2", "--k", "8", "--out", str(sk)]) == 0
+    huge = _rewrite(sk, _set(ell=np.int64(2**40)))
+    rc, err = _query(capsys, huge)
+    assert rc == 0 or (rc == 2 and err.count("\n") == 1)
+
+    def load_peak(path):
+        tracemalloc.start()
+        try:
+            load_sketches(str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert load_peak(huge) <= 2 * load_peak(sk)
+
+
 def test_sketch_file_with_k_zero_exits_2(tmp_path, capsys):
     # threshold sketch file of a 2-node, 2-instance graph with k=0
     sk = tmp_path / "k0.bin"
     _write_columns(sk, {"offsets": np.zeros(3, np.int64), "rank": np.zeros(0, np.int64),
-                        "k": np.int64(0), "n": np.int64(2), "ell": np.int64(2), "seed": np.int64(1),
+                        "labels": np.array(["a", "b"]), "k": np.int64(0), "n": np.int64(2), "ell": np.int64(2), "seed": np.int64(1),
                         "model": np.str_("permutation"), "T": np.float64(1.0)})
     rc, err = _query(capsys, sk, decay="threshold:1")
     assert rc == 2 and "k must be at least 1" in err and "Traceback" not in err
@@ -294,7 +366,8 @@ def test_sketch_file_with_no_nodes_exits_2(tmp_path, capsys):
     # combined sketch file with the uniform rank model and n=0
     sk = tmp_path / "n0.bin"
     _write_columns(sk, {"offsets": np.zeros(1, np.int64), "rank": np.zeros(0, np.int64),
-                        "dist": np.zeros(0), "k": np.int64(4), "n": np.int64(0), "ell": np.int64(2),
+                        "dist": np.zeros(0), "node": np.zeros(0, np.int32), "instance": np.zeros(0, np.int32),
+                        "labels": np.array([], dtype="U1"), "k": np.int64(4), "n": np.int64(0), "ell": np.int64(2),
                         "seed": np.int64(1), "model": np.str_("uniform"), "T": np.float64(math.nan)})
     rc, err = _query(capsys, sk)
     assert rc == 2 and "n, ell >= 1" in err and "Traceback" not in err
@@ -477,3 +550,124 @@ def test_eval_reads_seed_labels(labelled_edges, tmp_path, capsys):
     assert main(["eval", "--edges", labelled_edges, "--model", "unit", "--m", "2",
                  "--seeds-file", str(seeds_file), "--decay", "threshold:3"]) == 0
     assert capsys.readouterr().out.strip().split("\n")[1] == "1,4.0,100.00"
+
+
+@pytest.mark.parametrize("threshold", [False, True])
+def test_oracle_query_reads_the_labels_im_threshold_prints(labelled_edges, tmp_path, capsys, threshold):
+    graph = ["--edges", labelled_edges, "--model", "exp:1", "--ell", "4", "--seed", "3"]
+    assert main(["im", "threshold", *graph, "--T", "1.5", "--k", "4", "--seeds", "2"]) == 0
+    names = [row.split(",")[1] for row in capsys.readouterr().out.strip().split("\n")[1:]]
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("\n".join(names) + "\n")
+    sk = str(tmp_path / "sk.bin")
+    kind, decay = (["--threshold", "1.5"], "threshold:1.5") if threshold else ([], "harmonic:1")
+    assert main(["oracle", "build", *graph, "--k", "4", *kind, "--out", sk]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file), "--decay", decay]) == 0
+    got = float(capsys.readouterr().out)
+
+    labels = load_edge_list(labelled_edges).labels
+    sketches, stored, _ = load_sketches(sk)
+    assert stored == labels
+    nodes = [labels.index(name) for name in names]
+    assert all(name != str(v) for name, v in zip(names, nodes))  # labels differ from indices
+    if threshold:
+        assert got == threshold_influence_estimate([sketches[v] for v in nodes])
+    else:
+        assert got == estimate_influence(sketches, nodes, parse_decay(decay))
+    seeds_file.write_text("0\n")  # a node index, not a label
+    assert main(["oracle", "query", "--sketches", sk, "--seeds-file", str(seeds_file), "--decay", decay]) == 2
+    assert "unknown node label: '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--edges", "e.txt", "--out", "g.npz", "--seed", "-1"],
+        ["oracle", "build", "--edges", "e.txt", "--out", "sk.bin", "--seed", "-3"],
+        ["eval", "--edges", "e.txt", "--seeds-file", "s.txt", "--decay", "exp:1", "--seed", "one"],
+        ["im", "threshold", "--edges", "e.txt", "--T", "1", "--seed", str(2**63)],
+    ],
+    ids=["gen", "oracle-build", "eval", "im-threshold"],
+)
+def test_seed_option_must_be_a_non_negative_int64(argv, capsys):
+    # rejected while parsing, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer in [0, 2**63)" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sketch_files(tmp_path_factory):
+    """A combined and a threshold sketch file of a small letter-labelled graph, and a seeds file."""
+    d = tmp_path_factory.mktemp("sketch_files")
+    edges = d / "edges.txt"
+    edges.write_text("a b\nb c\nc d\nd a\na c\n")
+    graph = ["--edges", str(edges), "--model", "exp:1", "--ell", "3", "--seed", "1", "--k", "3"]
+    assert main(["oracle", "build", *graph, "--out", str(d / "sk.bin")]) == 0
+    assert main(["oracle", "build", *graph, "--threshold", "1.5", "--out", str(d / "tsk.bin")]) == 0
+    (d / "seeds.txt").write_text("d\na\n")
+    return d
+
+
+_COLUMN = st.integers(0, 63)  # taken modulo the file's column count
+_DAMAGE = st.one_of(
+    st.tuples(st.just("drop"), _COLUMN),
+    st.tuples(st.just("dtype"), _COLUMN, st.sampled_from(["f8", "f4", "i4", "i1", "u8", "U3", "?"])),
+    st.tuples(st.just("ndim"), _COLUMN, st.booleans()),
+    st.tuples(st.just("set"), _COLUMN, st.integers(0, 10**6),
+              st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([math.nan, math.inf, -math.inf, 2**62]))),
+    st.tuples(st.just("cut"), st.integers(0, 10**6)),
+)
+
+
+def _damage(cols, op, name, *args):
+    """cols with the array `name` dropped, cast, reshaped or with one entry set."""
+    a = cols[name]
+    if op == "drop":
+        del cols[name]
+    elif op == "dtype":
+        cols[name] = a.astype(args[0])
+    elif op == "ndim":  # one more dimension, or one fewer
+        cols[name] = a[None] if args[0] or a.ndim != 1 or not a.size else a[0]
+    else:
+        index, value = args
+        assume(a.size)
+        if a.dtype.kind == "U":
+            a = a.astype(object)
+            a.flat[index % a.size] = str(value)
+            cols[name] = a.astype("U")
+        else:
+            a = a.astype(np.result_type(a.dtype, np.asarray(value).dtype))
+            a.flat[index % a.size] = value
+            cols[name] = a
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["sk.bin", "tsk.bin"]), damage=_DAMAGE)
+def test_damaged_sketch_file_exits_0_or_2_with_one_line(sketch_files, kind, damage):
+    path, bad = sketch_files / kind, sketch_files / "bad.bin"
+    op, *args = damage
+    if op == "cut":
+        data = path.read_bytes()
+        bad.write_bytes(data[: args[0] % len(data)])
+    else:
+        with np.load(path) as data:
+            cols = dict(data)
+        try:
+            with np.errstate(all="ignore"):
+                _damage(cols, op, sorted(cols)[args[0] % len(cols)], *args[1:])
+        except (ValueError, OverflowError):  # e.g. a label that is not a number
+            assume(False)
+        _write_columns(bad, cols)
+    decay = "threshold:1.5" if kind == "tsk.bin" else "harmonic:1"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(sketch_files / "seeds.txt"),
+                   "--decay", decay])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert math.isfinite(float(out.getvalue()))

@@ -404,7 +404,7 @@ def test_algorithms_leave_only_arrays_on_the_graph():
             x = list(x.values())
         return [y for z in x for y in leaves(z)] if isinstance(x, (list, tuple)) else [x]
 
-    scalars = ("n", "labels", "_label_index", "median_length")  # node count, per-node labels, one float
+    scalars = ("n", "labels", "median_length")  # node count, per-node labels, one float
     arrays = leaves([v for name, v in vars(g).items() if name not in scalars])
     assert all(isinstance(a, np.ndarray) for a in arrays)
     assert len(arrays) == 3 + 2 * 3

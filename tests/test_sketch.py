@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -25,6 +26,8 @@ from distinf import (
     threshold_influence_estimate,
     uniform_ranks,
 )
+
+from distinf.sketch import UNIFORM_DOMAIN, _union
 
 from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph, small_graphs, union_bf
 
@@ -176,6 +179,22 @@ def test_merge_order_independent():
         # pairwise association must agree too
         c = merge_cads([merge_cads([parts[1], parts[2]], 4), parts[0]], 4)
         assert a.entries == b.entries == c.entries
+
+
+def test_union_tau_is_the_kth_smallest_rank_ahead():
+    # reference: walk the union in key order with a heap of the k smallest ranks seen
+    g = random_graph(60, 3, seed=8, ell=4)
+    for k in (1, 3, 8):
+        sketches, _ = build_cads(g, k, seed=k)
+        for seeds in ([0], [1, 2, 3], list(range(0, 60, 7))):
+            union, tau = _union([sketches[s] for s in seeds], k)
+            kept, want = [], []
+            for r in union.rank.tolist():
+                want.append(-kept[0] if len(kept) == k else union.norm)
+                heapq.heappush(kept, -r)
+                if len(kept) > k:
+                    heapq.heappop(kept)
+            assert tau == want
 
 
 @st.composite
@@ -432,15 +451,15 @@ def test_mean_cads_size_within_bound():
 
 def test_cads_file_roundtrip(tmp_path):
     g = random_graph(30, 3, seed=5, ell=3)
-    sketches, ranks = build_cads(g, 5, seed=11)
+    sketches, _ = build_cads(g, 5, seed=11)
     path = str(tmp_path / "sk.bin")
     save_sketches(path, sketches, seed=11)
-    loaded, ranks2, seed = load_sketches(path)
+    loaded, labels, seed = load_sketches(path)
     assert seed == 11
-    assert np.array_equal(ranks.rank, ranks2.rank)
+    assert labels == [str(v) for v in range(30)]  # the default names
     for a, b in zip(sketches, loaded):
         assert a.entries == b.entries
-        assert (a.k, a.n, a.ell) == (b.k, b.n, b.ell)
+        assert (a.k, a.n, a.ell, a.norm) == (b.k, b.n, b.ell, b.norm)
 
 
 def test_threshold_file_roundtrip(tmp_path):
@@ -448,28 +467,29 @@ def test_threshold_file_roundtrip(tmp_path):
     ra = structured_ranks(30, 2, 2, seed=7)
     sketches = build_threshold_sketches(g, ra, k=6, T=0.9)
     path = str(tmp_path / "tsk.bin")
-    save_sketches(path, sketches, seed=7)
-    loaded, ranks2, _ = load_sketches(path)
-    assert np.array_equal(ra.rank, ranks2.rank)
+    names = [f"v{29 - v}" for v in range(30)]
+    save_sketches(path, sketches, seed=7, labels=names)
+    loaded, labels, seed = load_sketches(path)
+    assert (labels, seed) == (names, 7)
     for a, b in zip(sketches, loaded):
-        assert a.ranks == b.ranks and a.T == b.T
+        assert a.ranks == b.ranks and (a.T, a.norm) == (b.T, b.norm)
 
 
 def test_uniform_rank_files_roundtrip(tmp_path):
-    # the header records the rank model the sketches carry, so files saved
-    # with default arguments load back
+    # the file records the rank model the sketches carry, so files saved with
+    # default arguments load back with the uniform rank domain
     g = random_graph(30, 3, seed=5, ell=3)
-    sketches, ranks = build_cads(g, 5, seed=11, rank_model="uniform")
+    sketches, _ = build_cads(g, 5, seed=11, rank_model="uniform")
     save_sketches(str(tmp_path / "sk.bin"), sketches, seed=11)
-    loaded, ranks2, _ = load_sketches(str(tmp_path / "sk.bin"))
-    assert np.array_equal(ranks.rank, ranks2.rank)
+    loaded, _, _ = load_sketches(str(tmp_path / "sk.bin"))
     assert [a.entries for a in sketches] == [b.entries for b in loaded]
+    assert {b.norm for b in loaded} == {UNIFORM_DOMAIN}
     ra = uniform_ranks(30, 3, seed=7)
     tsk = build_threshold_sketches(g, ra, k=6, T=0.9)
     save_sketches(str(tmp_path / "tsk.bin"), tsk, seed=7)
-    loaded, ranks2, _ = load_sketches(str(tmp_path / "tsk.bin"))
-    assert np.array_equal(ra.rank, ranks2.rank)
+    loaded, _, _ = load_sketches(str(tmp_path / "tsk.bin"))
     assert [a.ranks for a in tsk] == [b.ranks for b in loaded]
+    assert {b.norm for b in loaded} == {UNIFORM_DOMAIN}
 
 
 @pytest.mark.parametrize("size", [20, 60])
