@@ -1,5 +1,5 @@
 """Command-line surface: instance generation, oracles, influence maximization,
-the exact-greedy baseline, held-out evaluation, and benchmark timing."""
+the exact-greedy baseline, and held-out evaluation."""
 
 from __future__ import annotations
 
@@ -60,14 +60,29 @@ def _read_seeds(path: str, labels: list[str]) -> list[int]:
             raise ValueError(f"unknown node label: {exc.args[0]!r}") from None
 
 
-def _write_trace(trace: exact.GreedyTrace, args, g: MultiInstanceGraph) -> None:
+def _run_traced(args, run) -> int:
+    """Load the graph, run `run(g)` for its trace, and write the trace, the
+    --metrics run report and any held-out evaluation.
+
+    The report is the trace's metadata plus `n`, `ell`, `load_sec` (graph
+    load or instance sampling) and `run_sec` (the `run` call alone).
+    """
+    t0 = time.perf_counter()
+    g = _load_graph(args)
+    t1 = time.perf_counter()
+    trace = run(g)
+    t2 = time.perf_counter()
     if args.out:
         trace.to_csv(args.out, g.labels)
     else:
         trace.write_csv(sys.stdout, g.labels)
-    if getattr(args, "metrics", None):
+    if args.metrics:
+        report = {"n": g.n, "ell": g.ell, "load_sec": t1 - t0, "run_sec": t2 - t1, **trace.metadata}
         with open(args.metrics, "w") as fh:
-            json.dump(trace.metadata, fh, indent=2)
+            json.dump(report, fh, indent=2)
+    if getattr(args, "eval_instances", 0):
+        _held_out_eval(args, trace.seeds())
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -83,11 +98,13 @@ def cmd_oracle_build(args) -> int:
     if args.threshold is not None:
         ranks = sketch.structured_ranks(g.n, g.ell, g.ell, args.seed)
         sketches = sketch.build_threshold_sketches(g, ranks, args.k, args.threshold)
+        entries = sum(len(s.ranks) for s in sketches)
     else:
         sketches, _ = sketch.build_cads(g, args.k, args.seed)
+        entries = sum(len(s) for s in sketches)
     sketch.save_sketches(args.out, sketches, args.seed, labels=g.labels)
     build_ms = 1000 * (time.perf_counter() - t0)
-    print(f"wrote {args.out}: n={g.n} ell={g.ell} k={args.k} build_ms={build_ms:.1f}")
+    print(f"wrote {args.out}: n={g.n} ell={g.ell} k={args.k} entries={entries} build_ms={build_ms:.1f}")
     return 0
 
 
@@ -107,16 +124,10 @@ def cmd_oracle_query(args) -> int:
 
 
 def cmd_im_threshold(args) -> int:
-    g = _load_graph(args)
-    trace = threshold_im.run_threshold_im(g, args.T, args.k, args.seeds, seed=args.seed)
-    _write_trace(trace, args, g)
-    if args.eval_instances:
-        _held_out_eval(args, trace.seeds())
-    return 0
+    return _run_traced(args, lambda g: threshold_im.run_threshold_im(g, args.T, args.k, args.seeds, seed=args.seed))
 
 
 def cmd_im_alpha(args) -> int:
-    g = _load_graph(args)
     alpha = parse_decay(args.decay)
     eps = None
     mode = args.mode
@@ -127,21 +138,13 @@ def cmd_im_alpha(args) -> int:
         eps = float(arg)
     elif mode != "fixed":
         raise ValueError(f"unknown mode {mode!r}")
-    trace = pps_im.run_pps_im(
-        g, alpha, args.k, args.seeds, eps=eps, lam=args.lam, tau0=args.tau0, seed=args.seed
-    )
-    _write_trace(trace, args, g)
-    if args.eval_instances:
-        _held_out_eval(args, trace.seeds())
-    return 0
+    options = dict(eps=eps, lam=args.lam, tau0=args.tau0, seed=args.seed)
+    return _run_traced(args, lambda g: pps_im.run_pps_im(g, alpha, args.k, args.seeds, **options))
 
 
 def cmd_greedy_exact(args) -> int:
-    g = _load_graph(args)
     alpha = parse_decay(args.decay)
-    trace = exact.lazy_greedy(g, alpha, args.seeds)
-    _write_trace(trace, args, g)
-    return 0
+    return _run_traced(args, lambda g: exact.lazy_greedy(g, alpha, args.seeds))
 
 
 def _held_out_graph(args, m: int) -> MultiInstanceGraph:
@@ -184,48 +187,6 @@ def cmd_eval(args) -> int:
     seeds = _read_seeds(args.seeds_file, g_eval.labels)
     alpha = parse_decay(args.decay)
     _write_eval(_eval_rows(g_eval, seeds, alpha), args.out)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    report: dict = {"algo": args.algo}
-    t0 = time.perf_counter()
-    g = _load_graph(args)
-    report["load_ms"] = 1000 * (time.perf_counter() - t0)
-    report["n"] = g.n
-    report["ell"] = g.ell
-    t0 = time.perf_counter()
-    if args.algo == "oracle-build":
-        sketches, _ = sketch.build_cads(g, args.k, args.seed)
-        report["sketch_entries"] = sum(len(s) for s in sketches)
-        report["build_ms"] = 1000 * (time.perf_counter() - t0)
-    elif args.algo == "tskim":
-        trace = threshold_im.run_threshold_im(g, args.T, args.k, args.seeds, seed=args.seed)
-        report["per_seed_ms"] = [1000 * t for t in trace.metadata["per_seed_sec"]]
-        report["pairs_searched"] = trace.metadata["pairs_searched"]
-        report["ball_entries"] = trace.metadata["ball_entries"]
-        report["seeds"] = len(trace)
-    elif args.algo == "askim":
-        alpha = parse_decay(args.decay)
-        trace = pps_im.run_pps_im(g, alpha, args.k, args.seeds, seed=args.seed)
-        report["per_seed_ms"] = [1000 * t for t in trace.metadata["per_seed_sec"]]
-        report["tau_schedule"] = trace.metadata["tau_schedule"]
-        report["seeds"] = len(trace)
-    elif args.algo == "greedy":
-        alpha = parse_decay(args.decay)
-        trace = exact.lazy_greedy(g, alpha, args.seeds)
-        report["per_seed_ms"] = [1000 * t for t in trace.metadata["per_seed_sec"]]
-        report["candidates_scored"] = trace.metadata["candidates_scored"]
-        report["seeds"] = len(trace)
-    else:
-        raise ValueError(f"unknown bench algo {args.algo!r}")
-    report["run_ms"] = 1000 * (time.perf_counter() - t0)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 
@@ -316,16 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="phase timings as JSON")
-    _add_graph_args(p)
-    p.add_argument("--algo", required=True, choices=["oracle-build", "tskim", "askim", "greedy"])
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--T", type=float, default=0.1)
-    p.add_argument("--decay", default="exp:10")
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

@@ -48,16 +48,24 @@ class TraceEntry:
 
 
 class GreedyTrace:
-    """Seed sequence with exact (and optionally estimated) marginal influences."""
+    """Seed sequence with exact (and optionally estimated) marginal influences.
+
+    `metadata["per_seed_sec"]` holds, per entry, the seconds since the
+    previous append, or since the trace was created for the first entry.
+    """
 
     def __init__(self):
         self.entries: list[TraceEntry] = []
-        self.metadata: dict = {}
+        self.metadata: dict = {"per_seed_sec": []}
+        self._clock = time.perf_counter()
 
     def append(self, seed: int, exact: float, estimated: float | None = None) -> None:
         self.entries.append(
             TraceEntry(int(seed), float(exact), None if estimated is None else float(estimated))
         )
+        now = time.perf_counter()
+        self.metadata["per_seed_sec"].append(now - self._clock)
+        self._clock = now
 
     def seeds(self) -> list[int]:
         return [e.seed for e in self.entries]
@@ -190,8 +198,7 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
         raise ValueError("s_max exceeds node count")
     residual = ResidualState(g)
     trace = GreedyTrace()
-    timings, scored = [], 0
-    t0 = time.perf_counter()
+    scored = 0
     heap = [(-gain, u, 0) for u, gain in enumerate(_singleton_gains(g, alpha).tolist())]
     heapq.heapify(heap)
     while len(trace) < s_max and heap:
@@ -199,8 +206,6 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
         if heap[0][2] == fresh:
             u = heapq.heappop(heap)[1]
             trace.append(u, add_seed(g, residual, u, alpha))
-            timings.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
             continue
         stale = []
         while heap and heap[0][2] != fresh and len(stale) < _BATCH:
@@ -208,7 +213,7 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
         scored += len(stale)
         for u, gain in zip(stale, marg_gain(g, residual, stale, alpha)):
             heapq.heappush(heap, (-gain, u, fresh))
-    trace.metadata.update(per_seed_sec=timings, candidates_scored=scored)
+    trace.metadata["candidates_scored"] = scored
     return trace
 
 

@@ -120,8 +120,8 @@ class MultiInstanceGraph:
             raise ValueError(f"edge endpoints must be node ids in [0, {n})")
         if not (weights > 0).all():
             raise ValueError("edge lengths must be positive (NaN is rejected)")
-        if labels is not None and len(labels) != n:
-            raise ValueError(f"need {n} node labels, got {len(labels)}")
+        if labels is not None and (len(labels) != n or len(set(labels)) != n):
+            raise ValueError(f"need {n} distinct node labels, got {len(set(labels))} distinct of {len(labels)}")
         self.n = n
         self.tails = tails
         self.heads = heads

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -406,14 +405,11 @@ def run_pps_im(
     state = PPSState(g, alpha, k, lam=lam, tau0=tau0, seed=seed, eps=eps)
     full = g.n * g.ell * alpha.alpha0
     limit = min(s_max, g.n) if s_max is not None else g.n
-    timings = []
     while len(state.seeds) < limit and state.coverage < full - 1e-9:
-        t0 = time.perf_counter()
         while (pick := state.next_seed()) is None:
             state.lower_tau()
         x, est = pick
         state.commit_seed(x, est)
-        timings.append(time.perf_counter() - t0)
     trace = state.trace
     trace.metadata.update(
         tau_schedule=state.tau_schedule,
@@ -421,6 +417,5 @@ def run_pps_im(
         delta_updates_per_pair=state.delta_update_count / (g.n * g.ell),
         cursor_scans=state.cursor_scans,
         er=state.er / g.ell,
-        per_seed_sec=timings,
     )
     return trace

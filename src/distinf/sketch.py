@@ -318,6 +318,8 @@ def build_threshold_sketches(
     """
     if not T > 0:
         raise ValueError("T must be positive")
+    if k < 2:  # the estimator (k-1)/tau_k answers 0 at k=1
+        raise ValueError(f"threshold sketch size k must be at least 2, got {k}")
     bottom = np.zeros((g.n, k), dtype=np.int64)
     size = [0] * g.n
     for instance in range(g.ell):
@@ -402,8 +404,8 @@ def load_sketches(path: str):
     k, n, ell, seed = (int(cols[name]) for name in ("k", "n", "ell", "seed"))
     model, T, labels = str(cols["model"]), float(cols["T"]), cols["labels"].tolist()
     offsets, rank = cols["offsets"].astype(np.int64), cols["rank"].astype(np.int64)
-    if k < 1:
-        raise ValueError(f"{path}: sketch size k must be at least 1, got {k}")
+    if k < (1 if combined else 2):
+        raise ValueError(f"{path}: sketch size k must be at least 1 (2 for threshold sketches), got {k}")
     if n < 1 or ell < 1 or seed < 0:
         raise ValueError(f"{path}: sketch file needs n, ell >= 1 and seed >= 0, got n={n} ell={ell} seed={seed}")
     if model not in ("permutation", "uniform"):

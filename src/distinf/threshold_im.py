@@ -16,7 +16,6 @@ at a time, by `graph.reverse_balls`; replaying them is vectorized.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -159,18 +158,14 @@ def run_threshold_im(
         raise ValueError("s_max exceeds node count")
     state = ThresholdState(g, T, k, seed)
     trace = GreedyTrace()
-    timings = []
     total_pairs = g.n * g.ell
     while len(trace) < s_max and state.n_covered < total_pairs:
-        t0 = time.perf_counter()
         pick = state._select()
         if pick is None:
             break
         x, est = pick
         exact = state._cover(x)
         trace.append(x, exact, est)
-        timings.append(time.perf_counter() - t0)
-    trace.metadata["per_seed_sec"] = timings
     trace.metadata["pairs_covered"] = state.n_covered
     trace.metadata["pairs_searched"] = state.pairs_searched
     trace.metadata["ball_entries"] = state.ball_entries

@@ -443,49 +443,101 @@ def test_eval_unknown_seed_is_validation_error(line_edges, tmp_path):
     assert rc == 2
 
 
+def _metrics(tmp_path, argv):
+    """The --metrics report of a traced command, and its trace's row count."""
+    out, metrics = str(tmp_path / "trace.csv"), str(tmp_path / "metrics.json")
+    assert main([*argv, "--out", out, "--metrics", metrics]) == 0
+    with open(out) as fh:
+        rows = len(fh.read().strip().split("\n")) - 1
+    with open(metrics) as fh:
+        return json.load(fh), rows
+
+
 def test_bench_tskim_json(edges_file, tmp_path):
-    out = str(tmp_path / "bench.json")
-    rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "4",
-               "--algo", "tskim", "--T", "1.0", "--k", "8", "--seeds", "6",
-               "--out", out])
-    assert rc == 0
-    rep = json.loads(open(out).read())
-    assert rep["run_ms"] > 0
-    series = rep["per_seed_ms"]
+    rep, rows = _metrics(tmp_path, ["im", "threshold", "--edges", edges_file, "--model", "exp:1", "--ell", "4",
+                                    "--T", "1.0", "--k", "8", "--seeds", "6"])
+    assert rep["run_sec"] > 0 and len(rep["per_seed_sec"]) == rows
+    series = rep["per_seed_sec"]
     cumulative = [sum(series[: i + 1]) for i in range(len(series))]
     assert all(a <= b + 1e-12 for a, b in zip(cumulative, cumulative[1:]))
+    assert sum(series) <= rep["run_sec"]
     assert rep["pairs_searched"] > 0 and rep["ball_entries"] >= rep["pairs_searched"]
 
 
 def test_bench_askim_has_tau_schedule(edges_file, tmp_path):
-    out = str(tmp_path / "bench.json")
-    rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
-               "--algo", "askim", "--decay", "exp:10", "--k", "8", "--seeds", "3",
-               "--out", out])
-    assert rc == 0
-    rep = json.loads(open(out).read())
+    rep, _ = _metrics(tmp_path, ["im", "alpha", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
+                                 "--decay", "exp:10", "--k", "8", "--seeds", "3"])
     assert rep["tau_schedule"]
 
 
 def test_bench_greedy_reports_seed_times_and_candidates(edges_file, tmp_path):
-    out = str(tmp_path / "bench.json")
-    rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
-               "--algo", "greedy", "--decay", "exp:1", "--seeds", "4", "--out", out])
-    assert rc == 0
-    rep = json.loads(open(out).read())
-    assert rep["seeds"] == 4 and len(rep["per_seed_ms"]) == 4
-    assert all(t > 0 for t in rep["per_seed_ms"])
+    rep, rows = _metrics(tmp_path, ["greedy", "exact", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
+                                    "--decay", "exp:1", "--seeds", "4"])
+    assert rows == 4 and len(rep["per_seed_sec"]) == 4
+    assert all(t > 0 for t in rep["per_seed_sec"])
     assert rep["candidates_scored"] >= 3  # every seed after the first follows at least one re-score
 
 
-def test_bench_oracle_build(edges_file, tmp_path):
-    out = str(tmp_path / "bench.json")
-    rc = main(["bench", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
-               "--algo", "oracle-build", "--k", "4", "--out", out])
-    assert rc == 0
-    rep = json.loads(open(out).read())
-    assert rep["sketch_entries"] > 0
-    assert rep["build_ms"] > 0
+def test_bench_oracle_build(edges_file, tmp_path, capsys):
+    sk = str(tmp_path / "sk.bin")
+    for threshold in ([], ["--threshold", "1.0"]):
+        rc = main(["oracle", "build", "--edges", edges_file, "--model", "exp:1", "--ell", "2",
+                   "--k", "4", "--out", sk, *threshold])
+        assert rc == 0
+        fields = dict(tok.split("=") for tok in capsys.readouterr().out.split() if "=" in tok)
+        sketches, _, _ = load_sketches(sk)
+        entries = sum(len(s.ranks) if threshold else len(s) for s in sketches)
+        assert int(fields["entries"]) == entries > 0
+        assert float(fields["build_ms"]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, counters",
+    [(["im", "threshold", "--T", "1.0", "--k", "8"], ["pairs_searched", "ball_entries", "pairs_covered"]),
+     (["im", "alpha", "--decay", "exp:10", "--k", "8"], ["tau_schedule", "cursor_scans", "delta_updates_total"]),
+     (["greedy", "exact", "--decay", "exp:1"], ["candidates_scored"])],
+    ids=["tskim", "askim", "greedy"],
+)
+def test_metrics_report_one_schema(edges_file, tmp_path, argv, counters):
+    rep, rows = _metrics(tmp_path, [*argv, "--edges", edges_file, "--ell", "3", "--seeds", "4"])
+    assert rep["n"] == 12 and rep["ell"] == 3
+    assert rep["load_sec"] > 0 and rep["run_sec"] > 0
+    assert rows == 4 and len(rep["per_seed_sec"]) == rows
+    assert all(name in rep for name in counters)
+
+
+def test_bench_subcommand_is_gone(edges_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--edges", edges_file, "--algo", "tskim"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_threshold_oracle_build_needs_k_two(tmp_path, capsys, k):
+    edges = tmp_path / "cycle.txt"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    rc = main(["oracle", "build", "--edges", str(edges), "--ell", "4", "--seed", "1",
+               "--threshold", "1.5", "--k", k, "--out", str(tmp_path / "tsk.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "at least 2" in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_threshold_sketch_file_with_k_one_exits_2(tmp_path, capsys):
+    sk = tmp_path / "k1.bin"
+    _write_columns(sk, {"offsets": np.arange(3, dtype=np.int64), "rank": np.array([1, 2], np.int64),
+                        "labels": np.array(["a", "b"]), "k": np.int64(1), "n": np.int64(2), "ell": np.int64(1),
+                        "seed": np.int64(1), "model": np.str_("permutation"), "T": np.float64(1.0)})
+    rc, err = _query(capsys, sk, decay="threshold:1", seeds="a\n")
+    assert rc == 2 and "2 for threshold sketches" in err and err.count("\n") == 1
+
+
+def test_graph_cache_with_repeated_labels_exits_2(tmp_path, capsys):
+    p = str(tmp_path / "g.npz")
+    np.savez(p, n=np.int64(3), tails=np.array([0, 1]), heads=np.array([1, 2]), weights=np.ones((1, 2)),
+             labels=np.array(["a", "a", "c"]))
+    rc = main(["greedy", "exact", "--graph", p, "--decay", "exp:1", "--seeds", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "distinct node labels" in err and err.count("\n") == 1
 
 
 def test_validation_error_exit_code(tmp_path):

@@ -122,6 +122,13 @@ def test_instance_rejects_bad_edges(tails, heads, weights):
         MultiInstanceGraph.from_arrays(3, tails, heads, weights)
 
 
+def test_instance_rejects_repeated_labels():
+    # two nodes under one label would print as one seed name
+    with pytest.raises(ValueError, match="need 3 distinct node labels, got 2 distinct of 3"):
+        MultiInstanceGraph(3, [0, 1], [1, 2], labels=["a", "a", "c"])
+    assert MultiInstanceGraph(3, [0, 1], [1, 2], labels=["a", "b", "c"]).labels == ["a", "b", "c"]
+
+
 # ------------------------------------------------------------- sampling
 
 

@@ -339,13 +339,21 @@ def test_threshold_sketch_tiny_T_only_self():
         assert set(sk[v].ranks) == {int(ra.rank[v, i]) for i in range(2)}
 
 
-def test_threshold_sketch_bottom_one():
+def test_threshold_sketch_bottom_two():
     g = line_graph()
     ra = structured_ranks(3, 1, 1, seed=5)
-    sk = build_threshold_sketches(g, ra, k=1, T=10.0)
+    sk = build_threshold_sketches(g, ra, k=2, T=10.0)
     ranks_all = {v: int(ra.rank[v, 0]) for v in range(3)}
-    # everything reaches c's rank pool: node a reaches {a, b, c}
-    assert sk[0].ranks == [min(ranks_all.values())]
+    # node a reaches {a, b, c}; c reaches only itself
+    assert sk[0].ranks == sorted(ranks_all.values())[:2]
+    assert sk[2].ranks == [ranks_all[2]]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_threshold_sketch_needs_k_two(k):
+    # at k=1 the estimator (k-1)/tau_k answers 0 for every seed set
+    with pytest.raises(ValueError, match="must be at least 2"):
+        build_threshold_sketches(line_graph(), structured_ranks(3, 1, 1, seed=5), k, T=10.0)
 
 
 def test_threshold_sketch_is_exact_bottom_k():
@@ -384,12 +392,13 @@ def sketch_cases(draw):
 def test_threshold_sketches_are_ads_cut_at_T(case):
     g, ra, k, T = case
     dists = bf_all_pairs(g)
-    sketches = build_threshold_sketches(g, ra, k, T)
+    kt = max(k, 2)  # threshold sketches need k >= 2; the ADS below also run at k = 1
+    sketches = build_threshold_sketches(g, ra, kt, T)
     for v in range(g.n):
         within = sorted(
             int(ra.rank[u, i]) for i in range(g.ell) for u in range(g.n) if ra.rank[u, i] and dists[i][v, u] <= T
         )
-        assert sketches[v].ranks == within[:k]
+        assert sketches[v].ranks == within[:kt]
     for i in range(g.ell):
         cut, full = build_ads_instance(g, i, ra, k, limit=T), build_ads_instance(g, i, ra, k)
         for v in range(g.n):
