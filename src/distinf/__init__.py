@@ -12,7 +12,6 @@ from .exact import (
     marg_gain,
 )
 from .graph import (
-    DijkstraCursor,
     EdgeLengthModel,
     GraphFormatError,
     MultiInstanceGraph,
@@ -24,19 +23,15 @@ from .graph import (
 from .pps_im import PPSState, run_pps_im
 from .sketch import (
     CADS,
-    RankAssignment,
     ThresholdSketch,
     assign_ranks,
-    build_ads_instance,
     build_cads,
     build_threshold_sketches,
     estimate_influence,
     load_sketches,
     merge_cads,
     save_sketches,
-    structured_ranks,
     threshold_influence_estimate,
-    uniform_ranks,
 )
 from .threshold_im import ThresholdState, run_threshold_im
 
@@ -45,19 +40,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CADS",
     "DecayFunction",
-    "DijkstraCursor",
     "EdgeLengthModel",
     "GraphFormatError",
     "GreedyTrace",
     "MultiInstanceGraph",
     "PPSState",
-    "RankAssignment",
     "ResidualState",
     "ThresholdSketch",
     "ThresholdState",
     "add_seed",
     "assign_ranks",
-    "build_ads_instance",
     "build_cads",
     "build_threshold_sketches",
     "estimate_influence",
@@ -78,7 +70,5 @@ __all__ = [
     "sample_instances",
     "save_npz",
     "save_sketches",
-    "structured_ranks",
-    "uniform_ranks",
     "threshold_influence_estimate",
 ]

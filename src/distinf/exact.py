@@ -15,6 +15,7 @@ pass over (instance, candidate) rows started from the residual.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 import time
@@ -84,12 +85,13 @@ class GreedyTrace:
             self.write_csv(fh, labels)
 
     def write_csv(self, fh: TextIO, labels: list[str] | None = None) -> None:
-        """Write the trace as CSV rows to an open text file."""
-        fh.write("rank,seed,exact_marginal,estimated_marginal\n")
+        """Write the trace as CSV rows to an open text file, quoting labels that need it."""
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["rank", "seed", "exact_marginal", "estimated_marginal"])
         for rank, e in enumerate(self.entries, start=1):
             seed = labels[e.seed] if labels is not None else e.seed
             est = "" if e.estimated_marginal is None else repr(e.estimated_marginal)
-            fh.write(f"{rank},{seed},{e.exact_marginal!r},{est}\n")
+            out.writerow([rank, seed, repr(e.exact_marginal), est])
 
 
 class ResidualState:

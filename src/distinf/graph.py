@@ -92,6 +92,15 @@ class EdgeLengthModel:
         return lam * (-np.log(u)) ** (1.0 / beta)
 
 
+def _check_labels(labels: Sequence[str], n: int, where: str = "") -> None:
+    """Raise ValueError (prefixed by `where`) unless labels are n distinct names a seeds-file line can hold."""
+    if len(labels) != n or len(set(labels)) != n:
+        raise ValueError(f"{where}need {n} distinct node labels, got {len(set(labels))} distinct of {len(labels)}")
+    bad = next((x for x in labels if x.split() != [x]), None)
+    if bad is not None:
+        raise ValueError(f"{where}node label {bad!r} is empty or holds whitespace, so no seeds file can name it")
+
+
 class MultiInstanceGraph:
     """ell instances over nodes [0, n) that share one directed edge list.
 
@@ -120,8 +129,8 @@ class MultiInstanceGraph:
             raise ValueError(f"edge endpoints must be node ids in [0, {n})")
         if not (weights > 0).all():
             raise ValueError("edge lengths must be positive (NaN is rejected)")
-        if labels is not None and (len(labels) != n or len(set(labels)) != n):
-            raise ValueError(f"need {n} distinct node labels, got {len(set(labels))} distinct of {len(labels)}")
+        if labels is not None:
+            _check_labels(labels, n)
         self.n = n
         self.tails = tails
         self.heads = heads
@@ -476,9 +485,9 @@ def _distinct(cells: np.ndarray, slot: np.ndarray) -> np.ndarray:
     return cells[slot[cells] == order]
 
 
-def _check_limit(limit: float) -> None:
-    if not limit >= 0:
-        raise ValueError(f"limit must be a non-negative number, got {limit!r}")
+def _check_limit(limit: float | np.ndarray) -> None:
+    if not np.all(np.asarray(limit) >= 0):
+        raise ValueError(f"limit must be a non-negative number, got {float(np.min(limit))!r}")
 
 
 def _pair_rows(
@@ -498,13 +507,16 @@ def _pair_rows(
 
 
 def reverse_balls(
-    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int], limit: float
+    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int], limit: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parallel arrays (row, node, dist) of every node within limit of each
     (instance, source) row, sorted by (row, dist, node).
 
     Row r is the reverse ball of sources[r] in instances[r]: the nodes whose
     distance *to* the source is at most limit, read from the reverse CSR.
+    The limit is one float or an (n,) array of per-node bounds: no search
+    enters a node beyond its own bound (a source holds itself at 0), so a
+    distance is the shortest over paths that stay within every bound.
     The search keeps its state sparse, as a sorted int64 key row * n + node
     with one distance per key, so its cost follows the balls' sizes, not n.
     Each label-correcting round expands the keys that improved in the last
@@ -521,7 +533,9 @@ def reverse_balls(
     src, inst = _pair_rows(g, instances, sources)
     if src.ndim != 1:
         raise ValueError("reverse balls take one source per row")
-    limit = min(limit, sys.float_info.max)  # never reach a node at infinite distance
+    limit = np.minimum(limit, sys.float_info.max)  # never reach a node at infinite distance
+    if limit.ndim and limit.shape != (n,):
+        raise ValueError(f"need one limit or one per node, got shape {limit.shape}")
     indptr, tails, weights = g.reverse_csr()
     key = np.arange(src.size, dtype=np.int64) * n + src  # sorted, as rows are
     dist = np.zeros(src.size)
@@ -542,7 +556,7 @@ def reverse_balls(
             edge = shift[p] + np.arange(starts[a], starts[a] + p.size)
             cand = base[p] + weights[edge]
             tgt = row[p] * n + tails[edge]
-            keep = cand <= limit
+            keep = cand <= (limit[tails[edge]] if limit.ndim else limit)
             tgt, cand = tgt[keep], cand[keep]
             order = np.argsort(tgt)
             tgt, head = np.unique(tgt[order], return_index=True)

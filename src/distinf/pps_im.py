@@ -114,6 +114,7 @@ class PPSState:
         ]
         heapq.heapify(self.q_pairs)
         self.q_cands: list[tuple[float, int]] = []
+        self.queued = [-INF] * n  # per node, its last key pushed to q_cands; -inf once popped
         self.q_hml: list[tuple[float, int, int]] = []
         self.reclass: dict[Pair, float] = {}
         self.is_seed = [False] * n
@@ -134,8 +135,12 @@ class PPSState:
         return self.est_h[u] + self.tau * self.est_m[u]
 
     def _touch_candidate(self, u: int) -> None:
-        # prompt priority refresh: required whenever the estimate may increase
-        heapq.heappush(self.q_cands, (-self.node_estimate(u), u))
+        # prompt priority refresh: required whenever the estimate may increase;
+        # unless it rises above `queued[u]`, an entry at least as high is queued
+        est = self.node_estimate(u)
+        if est > self.queued[u]:
+            heapq.heappush(self.q_cands, (-est, u))
+            self.queued[u] = est
 
     # ------------------------------------------------------------------ #
     # reclassification queue
@@ -291,24 +296,22 @@ class PPSState:
         gate = self.k * self.tau
         while self.q_cands:
             stored_neg, u = self.q_cands[0]
-            stored = -stored_neg
-            if self.is_seed[u]:
-                heapq.heappop(self.q_cands)
-                continue
             live = self.node_estimate(u)
-            if stored != live:
-                heapq.heappop(self.q_cands)
-                if live > 0:
-                    heapq.heappush(self.q_cands, (-live, u))
-                continue
-            if live < gate:
+            valid = not self.is_seed[u] and -stored_neg == live
+            if valid and live < gate:
                 return None
             heapq.heappop(self.q_cands)
+            self.queued[u] = -INF  # that was u's highest entry; its next rise queues again
+            if not valid:
+                if not self.is_seed[u] and live > 0:
+                    self._touch_candidate(u)  # requeued at live, as nothing of u is queued
+                continue
             if self.eps is not None:
                 # unnormalized, like the estimate: x / ell * ell is not always x
                 exact = float(_gain_sums(self.g, self.delta, [u], self.alpha)[0])
                 if exact < (1.0 - self.eps) * live:
                     heapq.heappush(self.q_cands, (-exact, u))
+                    self.queued[u] = exact
                     return None
             return u, live
         return None

@@ -11,26 +11,27 @@ the model's domain size (n*ell for permutations).
 
 Combined sketches keep, per node, the k smallest ranks at distance 0 and the
 rank-distance pairs whose rank is below the k-th smallest among strictly
-closer pairs; distance ties are broken by (node, instance) index.  Every sketch, per-instance or combined, is a `CADS`:
-parallel arrays (rank, distance, node, instance) sorted by that key.  One
+closer pairs; distance ties are broken by (node, instance) index.  Every
+sketch is a `CADS`: parallel arrays (rank, distance, node, instance) sorted
+by that key.  Both kinds come from one search per instance, which finds a
+superset of its all-distances sketch entries (the candidates).  One
 vectorized union filter, `merge_cads`, forms both a node's combined sketch
-from its per-instance sketches and the union sketch of a query's seed set.  A
-threshold sketch of a node is the k smallest ranks among its per-instance
-all-distances sketch entries within T.
+from its candidates in every instance and the union sketch of a query's
+seed set.  A threshold sketch of a node is the k smallest ranks among its
+candidates within T.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph, _check_arrays, _read_npz, _write_npz
+from .graph import MultiInstanceGraph, _check_arrays, _check_labels, _read_npz, _write_npz, reverse_balls
 
 INF = math.inf
 
@@ -44,6 +45,12 @@ UNIFORM_DOMAIN = 1 << 53
 # Positive-distance entries that the union filter cuts against one threshold
 # before checking the survivors one by one.
 _CHUNK = 128
+
+# The sketch search runs k // 2 sources, then blocks this many times the last.  At 1.25, 1.5, 2
+# and 3 (2-core VM), build_cads on random_graph(1000, 4, 1, ell=8), k=16 took 1.6-2.0 s and peaked
+# (tracemalloc) at 27.7, 29.3, 32.3 and 37.0 MB; the threshold build on random_graph(4000, 4, 2,
+# ell=8), k=64, T=1 took 2.4, 2.3, 1.7 and 1.6 s and peaked at 19.7, 19.7, 20.9 and 21.5 MB.
+_BLOCK_GROWTH = 1.5
 
 
 @dataclass(frozen=True)
@@ -96,81 +103,55 @@ def assign_ranks(n: int, ell: int, k: int, seed: int) -> RankAssignment:
     return structured_ranks(n, ell, min(ell, k), seed)
 
 
-def build_ads_instance(
-    g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int, limit: float = INF
-) -> list[CADS]:
-    """Single-instance all-distances sketches for every node, cut at limit.
+def _fold_k_smallest(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """Fold values[j] into row rows[j] of an ascending (n, k) table of k smallest values, in
+    place, reading and writing only those rows; padding (inf, or a rank above all) sorts last."""
+    k = table.shape[1]
+    touched = np.unique(rows)
+    row = np.concatenate((np.repeat(touched, k), rows))
+    val = np.concatenate((table[touched].ravel(), values))
+    order = np.lexsort((val, row))
+    # groups follow `touched`, and each holds at least its row's k old slots
+    first = np.searchsorted(row[order], touched)
+    table[touched] = val[order[first[:, None] + np.arange(k)]]
 
-    Reverse Dijkstras run from the instance's ranked pairs in increasing rank
-    order and push no node beyond `limit`; a search is pruned at nodes that
-    already hold k entries strictly closer (by the tie-broken key) than the
-    current settle distance.  So the entries of a node within any distance
-    x <= limit include the k smallest ranks within x.  The entries of all
-    nodes are recorded in typed buffers and sorted once by (node, key); each
-    node's sketch is a `CADS` whose columns are views of those arrays.
+
+def _ads_candidates(
+    g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int, limit: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parallel arrays (owner, source, dist), sorted by owner: a superset of
+    one instance's all-distances sketch entries within limit (its candidates).
+
+    The pruned reverse search of Cohen et al. runs the ranked sources in rank
+    order, in blocks of `reverse_balls` rows bounded at each node by min(limit,
+    its k-th smallest distance from earlier blocks).  Earlier candidates have
+    smaller ranks and searched distances no shorter than the true ones, so the
+    search drops only pairs outside the sketch and finds each entry at its
+    exact distance.  Sources of one block do not prune each other (about 15%
+    more candidates on random graphs); `merge_cads` keeps exactly the entries.
     """
-    if not 0 <= instance < g.ell:
-        raise ValueError(f"instance {instance} out of range [0, {g.ell})")
-    # this instance's reverse (tail, length) lists, dropped on return; inf lengths are never pushed
-    in_edges: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for t, h, w in zip(g.tails.tolist(), g.heads.tolist(), g.weights[instance].tolist()):
-        in_edges[h].append((t, w))
     col = ranks.rank[:, instance]
-    ranked = np.flatnonzero(col)
-    ranked = ranked[np.argsort(col[ranked])]
-    # entry columns (owner, rank, distance, node), appended as found
-    cols = (array("q"), array("q"), array("d"), array("q"))
-    add_owner, add_rank, add_dist, add_node = (c.append for c in cols)
-    # per node, a max-heap of its k smallest keys (d, src), stored negated;
-    # the instance is fixed, so (d, src) orders like the entry key
-    keys: list[list[tuple[float, int]]] = [[] for _ in range(g.n)]
-    # the distance of a node's k-th smallest key once it holds k: a later
-    # source reaching it from farther away would be pruned, so is not pushed
-    cap = [INF] * g.n
-    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    for r, src in zip(col[ranked].tolist(), ranked.tolist()):
-        dist = {src: 0.0}  # tentative distances; a node is pushed only when its distance falls
-        heap = [(0.0, src)]
-        while heap:
-            d, v = pop(heap)
-            if d > dist[v]:
-                continue
-            kv = keys[v]
-            key = (-d, -src)
-            if len(kv) < k:
-                push(kv, key)
-            elif key > kv[0]:
-                replace(kv, key)
-            else:
-                continue  # k smaller ranks already strictly closer: prune
-            if len(kv) == k:
-                cap[v] = -kv[0][0]
-            add_owner(v)
-            add_rank(r)
-            add_dist(d)
-            add_node(src)
-            for u, w in in_edges[v]:
-                du = d + w
-                if du <= cap[u] and du < dist.get(u, INF) and du <= limit:
-                    dist[u] = du
-                    push(heap, (du, u))
-    owner, rank, dist, node = (np.frombuffer(c, c.typecode) for c in cols)
-    order = np.lexsort((node, dist, owner))
-    rank, dist, node = rank[order], dist[order], node[order]
-    inst = np.full(len(order), instance, dtype=np.int64)
-    bounds = np.searchsorted(owner[order], np.arange(g.n + 1)).tolist()
-    return [
-        CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, g.n, g.ell, ranks.norm)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    ranked = np.argsort(col)[np.count_nonzero(col == 0) :]  # in rank order; unranked pairs (rank 0) sort first
+    kth = np.full((g.n, k), INF)  # per node, its k smallest candidate distances so far
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    start, size = 0, max(1, k // 2)
+    while start < ranked.size:
+        block = ranked[start : start + size]
+        row, owner, dist = reverse_balls(g, instance, block, np.minimum(limit, kth[:, -1]))
+        _fold_k_smallest(kth, owner, dist)
+        parts.append((owner, block[row], dist))
+        start += size
+        size = math.ceil(size * _BLOCK_GROWTH)
+    owner, src, dist = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], src[order], dist[order]
 
 
 @dataclass(eq=False)
 class CADS:
     """All-distances sketch of one node: parallel arrays (rank, distance,
-    node, instance) sorted by the tie-broken distance key.  It covers one
-    instance (from `build_ads_instance`) or all of them (combined, from
-    `merge_cads`, with at most min(ell, k) entries at distance 0)."""
+    node, instance) sorted by the tie-broken distance key.  A combined
+    sketch, from `merge_cads`, has at most min(ell, k) entries at distance 0."""
 
     rank: np.ndarray
     dist: np.ndarray
@@ -195,12 +176,13 @@ class CADS:
 def merge_cads(parts: Sequence[CADS], k: int) -> CADS:
     """Union filter: one combined sketch from the entries of all parts.
 
-    Parts are a node's per-instance sketches at build time, or the seeds'
-    combined sketches when forming a query's union; the result does not
-    depend on part order.  A repeated rank (one pair seen from several
-    parts) keeps its closest occurrence only; distance-0 entries keep the k
-    smallest ranks outright; a positive-distance entry is kept when its rank
-    is below the k-th smallest kept rank ahead of it in key order.
+    Parts are a node's search candidates at build time (any superset of its
+    sketch entries with exact distances), or the seeds' combined sketches
+    when forming a query's union; the result does not depend on part order.
+    A repeated rank (one pair seen from several parts) keeps its closest
+    occurrence only; distance-0 entries keep the k smallest ranks outright; a
+    positive-distance entry is kept when its rank is below the k-th smallest
+    kept rank ahead of it in key order.
     """
     return _union(parts, k)[0]
 
@@ -256,12 +238,22 @@ def _union(parts: Sequence[CADS], k: int) -> tuple[CADS, list[int]]:
 def build_cads(
     g: MultiInstanceGraph, k: int, seed: int, rank_model: str = "permutation"
 ) -> tuple[list[CADS], RankAssignment]:
-    """Full preprocessing: ranks, per-instance sketches, combined per node."""
+    """Full preprocessing: ranks, then each node's combined sketch, the union
+    filter over its search candidates from every instance."""
     if rank_model not in ("permutation", "uniform"):
         raise ValueError(f"unknown rank model {rank_model!r}")
     ranks = assign_ranks(g.n, g.ell, k, seed) if rank_model == "permutation" else uniform_ranks(g.n, g.ell, seed)
-    per_instance = [build_ads_instance(g, i, ranks, k) for i in range(g.ell)]
-    combined = [merge_cads([sk[v] for sk in per_instance], k) for v in range(g.n)]
+    cols = []  # per instance: node v's candidates are rank, dist and node [at[v]:at[v + 1]]
+    for i in range(g.ell):
+        owner, node, dist = _ads_candidates(g, i, ranks, k, INF)
+        cols.append((np.searchsorted(owner, np.arange(g.n + 1)).tolist(), ranks.rank[node, i], dist, node))
+
+    def part(v: int, i: int) -> CADS:  # node v's candidates in instance i, unfiltered
+        at, rank, dist, node = cols[i]
+        a, b = at[v], at[v + 1]
+        return CADS(rank[a:b], dist[a:b], node[a:b], np.full(b - a, i), k, g.n, g.ell, ranks.norm)
+
+    combined = [merge_cads([part(v, i) for i in range(g.ell)], k) for v in range(g.n)]
     return combined, ranks
 
 
@@ -311,24 +303,23 @@ def build_threshold_sketches(
 ) -> list[ThresholdSketch]:
     """Bottom-k sketches of the within-T reachable pairs, for every node.
 
-    Each instance's all-distances sketches cut at T hold the k smallest ranks
-    within T of every node; their rank columns are folded into each node's
-    running k smallest ranks (the first `size[v]` of row v of `bottom`) one
-    instance at a time, so only one instance's entries are held at once.
+    An instance's search candidates cut at T hold its k smallest ranks
+    within T of every node, and all of them lie within T.  Per instance, the
+    candidate ranks below a node's k-th smallest rank so far are folded into
+    its row of `bottom` at once, so only one instance's candidates are held.
     """
     if not T > 0:
         raise ValueError("T must be positive")
     if k < 2:  # the estimator (k-1)/tau_k answers 0 at k=1
         raise ValueError(f"threshold sketch size k must be at least 2, got {k}")
-    bottom = np.zeros((g.n, k), dtype=np.int64)
-    size = [0] * g.n
+    unset = np.iinfo(np.int64).max  # above every rank
+    bottom = np.full((g.n, k), unset)  # per node, its k smallest ranks so far, ascending
     for instance in range(g.ell):
-        for v, sk in enumerate(build_ads_instance(g, instance, ranks, k, limit=T)):
-            b = np.sort(np.concatenate((bottom[v, : size[v]], sk.rank)))[:k]
-            bottom[v, : len(b)] = b
-            size[v] = len(b)
-        sk = None  # the last sketch's views would keep this instance's arrays alive
-    return [ThresholdSketch(b[:s].tolist(), k, g.n, g.ell, T, ranks.norm) for b, s in zip(bottom, size)]
+        owner, src, _ = _ads_candidates(g, instance, ranks, k, T)
+        rank = ranks.rank[src, instance]
+        keep = rank < bottom[owner, -1]
+        _fold_k_smallest(bottom, owner[keep], rank[keep])
+    return [ThresholdSketch(b[b < unset].tolist(), k, g.n, g.ell, T, ranks.norm) for b in bottom]
 
 
 def threshold_influence_estimate(sketches: Sequence[ThresholdSketch]) -> float:
@@ -416,8 +407,7 @@ def load_sketches(path: str):
     lengths = {len(cols[name]) for name in ("rank", *(_CADS_SPEC if combined else ()))}  # of the entry columns
     if len(offsets) != n + 1 or offsets[0] != 0 or {offsets[-1]} != lengths or (np.diff(offsets) < 0).any():
         raise ValueError(f"{path}: offsets must rise from 0 to the length of each entry column in n+1={n + 1} steps")
-    if len(labels) != n or len(set(labels)) != n:
-        raise ValueError(f"{path}: need {n} distinct node labels, got {len(set(labels))} distinct of {len(labels)}")
+    _check_labels(labels, n, f"{path}: ")
 
     owner = np.repeat(np.arange(n), np.diff(offsets))
     same = owner[1:] == owner[:-1]  # adjacent entries of one sketch

@@ -19,8 +19,9 @@ def instance_edges(g, i):
     return list(zip(g.tails.tolist(), g.heads.tolist(), g.weights[i].tolist()))
 
 
-def bf_distances(edges, n, sources):
-    """Bellman-Ford multi-source distances."""
+def bf_distances(edges, n, sources, bound=None):
+    """Bellman-Ford multi-source distances; with a per-node bound, a node is
+    never entered beyond its own bound, so no path passes through it."""
     dist = [INF] * n
     for s in sources:
         dist[s] = 0.0
@@ -28,7 +29,7 @@ def bf_distances(edges, n, sources):
         changed = False
         for t, h, w in edges:
             nd = dist[t] + w
-            if nd < dist[h]:
+            if nd < dist[h] and (bound is None or nd <= bound[h]):
                 dist[h] = nd
                 changed = True
         if not changed:

@@ -25,9 +25,9 @@ from distinf import (
     run_pps_im,
     run_threshold_im,
     threshold_influence_estimate,
-    uniform_ranks,
 )
 from distinf.pps_im import PPSState
+from distinf.sketch import uniform_ranks
 
 from bruteforce import (
     check_pps_state,

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -318,11 +319,13 @@ def _drop_last(name):
         (_set(ell=np.int64(2**62)), "more than int64 ranks can number"),
         (_set(labels=np.array(["0", "0", *map(str, range(2, 12))])), "need 12 distinct node labels"),
         (_set(labels=np.array(["0"])), "need 12 distinct node labels"),
+        (_set(labels=np.array([" 0", *map(str, range(1, 12))])), "node label ' 0' is empty or holds whitespace"),
         (_drop("node", "instance", "labels"), "not a sketch file: lacks array(s) labels"),
         (_drop("node", "instance"), "not a sketch file: lacks array(s) instance, node"),
     ],
     ids=["offsets-vs-n", "offsets-vs-ranks", "short-dist", "short-instance", "huge-n", "unknown-model",
-         "k-not-scalar", "negative-seed", "ell-overflows-ranks", "repeated-label", "fewer-labels", "pre-label-file", "no-pair-columns"],
+         "k-not-scalar", "negative-seed", "ell-overflows-ranks", "repeated-label", "fewer-labels", "blank-label",
+         "pre-label-file", "no-pair-columns"],
 )
 def test_malformed_sketch_columns_exit_2(edges_file, tmp_path, capsys, change, message):
     sk = tmp_path / "sk.bin"
@@ -532,12 +535,27 @@ def test_threshold_sketch_file_with_k_one_exits_2(tmp_path, capsys):
 
 
 def test_graph_cache_with_repeated_labels_exits_2(tmp_path, capsys):
-    p = str(tmp_path / "g.npz")
-    np.savez(p, n=np.int64(3), tails=np.array([0, 1]), heads=np.array([1, 2]), weights=np.ones((1, 2)),
-             labels=np.array(["a", "a", "c"]))
-    rc = main(["greedy", "exact", "--graph", p, "--decay", "exp:1", "--seeds", "3"])
-    err = capsys.readouterr().err
-    assert rc == 2 and "distinct node labels" in err and err.count("\n") == 1
+    # repeated labels, and labels a stripped seeds-file line cannot name
+    for labels, message in ((["a", "a", "c"], "distinct node labels"), ([" a", "b", "c"], "node label ' a'"),
+                            (["a\n", "b", "c"], "node label 'a\\n'"), (["", "b", "c"], "node label ''")):
+        p = str(tmp_path / "g.npz")
+        np.savez(p, n=np.int64(3), tails=np.array([0, 1]), heads=np.array([1, 2]), weights=np.ones((1, 2)),
+                 labels=np.array(labels))
+        rc = main(["greedy", "exact", "--graph", p, "--decay", "exp:1", "--seeds", "3"])
+        err = capsys.readouterr().err
+        assert rc == 2 and message in err and err.count("\n") == 1
+
+
+def test_trace_csv_quotes_a_label_with_a_comma(tmp_path):
+    # load_edge_list takes "x,y" as one label; unquoted, it split the trace row
+    edges = tmp_path / "edges.txt"
+    edges.write_text("x,y b\nb c\n")
+    out = tmp_path / "trace.csv"
+    assert main(["greedy", "exact", "--edges", str(edges), "--model", "unit", "--ell", "1",
+                 "--decay", "harmonic:1", "--seeds", "1", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert (row["rank"], row["seed"], row["estimated_marginal"]) == ("1", "x,y", "")
+    assert float(row["exact_marginal"]) == pytest.approx(1 + 1 / 2 + 1 / 3)
 
 
 def test_validation_error_exit_code(tmp_path):

@@ -1,14 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from distinf import (
-    DijkstraCursor,
     EdgeLengthModel,
     GraphFormatError,
     MultiInstanceGraph,
-    build_ads_instance,
     build_cads,
     evaluate_prefixes,
     graph,
@@ -19,8 +18,8 @@ from distinf import (
     run_threshold_im,
     sample_instances,
     save_npz,
-    structured_ranks,
 )
+from distinf.graph import DijkstraCursor
 
 from bruteforce import (
     absorbing_graph,
@@ -126,6 +125,10 @@ def test_instance_rejects_repeated_labels():
     # two nodes under one label would print as one seed name
     with pytest.raises(ValueError, match="need 3 distinct node labels, got 2 distinct of 3"):
         MultiInstanceGraph(3, [0, 1], [1, 2], labels=["a", "a", "c"])
+    # a seeds file is read line by line, stripped, so it cannot name these
+    for bad in (" a", "a\n", ""):
+        with pytest.raises(ValueError, match=f"node label {re.escape(repr(bad))} is empty or holds whitespace"):
+            MultiInstanceGraph(3, [0, 1], [1, 2], labels=[bad, "b", "c"])
     assert MultiInstanceGraph(3, [0, 1], [1, 2], labels=["a", "b", "c"]).labels == ["a", "b", "c"]
 
 
@@ -388,12 +391,9 @@ def test_cursor_skips_edges_an_instance_lacks():
 
 def test_instance_out_of_range_is_rejected():
     g = random_graph(10, 2, seed=0, ell=2)
-    ranks = structured_ranks(g.n, g.ell, g.ell, 0)
     for bad in (-1, g.ell):
         with pytest.raises(ValueError, match="out of range"):
             DijkstraCursor(g, bad, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            build_ads_instance(g, bad, ranks, 2)
 
 
 def test_algorithms_leave_only_arrays_on_the_graph():
@@ -455,6 +455,27 @@ def test_reverse_balls_order_absorbed_lengths_by_node():
             assert [u for u, _ in ball] == reverse_ball_bf(g, i, s, 1.0)
             differs += ball != [(u, d) for u, d in settle_until(DijkstraCursor(g, i, s)) if d <= 1.0]
     assert differs > 0
+
+
+def test_reverse_balls_with_per_node_limits():
+    # b lies beyond its bound, so a is not reached through it, whatever a's own bound
+    row, node, dist = graph.reverse_balls(line_graph(), 0, [2, 1], np.array([INF, 0.5, 0.0]))
+    assert list(zip(row.tolist(), node.tolist(), dist.tolist())) == [(0, 2, 0.0), (1, 1, 0.0), (1, 0, 1.0)]
+    rng = np.random.default_rng(3)
+    for g in (random_graph(30, 3, seed=1, ell=2), absorbing_graph(2), *gapped_and_tied(skewed_graph(30, 3, 4, 2), 4)):
+        for scale in (0.5, 2.0):
+            bound = rng.exponential(scale, g.n)
+            bound[rng.random(g.n) < 0.2] = rng.choice([0.0, INF])
+            for i in range(g.ell):
+                reverse = [(h, t, w) for t, h, w in instance_edges(g, i)]
+                row, node, dist = graph.reverse_balls(g, i, range(g.n), bound)
+                want = [(s, v, d) for s in range(g.n)
+                        for d, v in sorted((d, v) for v, d in enumerate(bf_distances(reverse, g.n, [s], bound)) if d < INF)]
+                assert list(zip(row.tolist(), node.tolist(), dist.tolist())) == want
+    with pytest.raises(ValueError, match="one limit or one per node"):
+        graph.reverse_balls(line_graph(), 0, [2], np.ones(2))
+    with pytest.raises(ValueError, match="limit"):
+        graph.reverse_balls(line_graph(), 0, [2], np.array([1.0, math.nan, 1.0]))
 
 
 def test_reverse_balls_blocks_and_validation(monkeypatch):

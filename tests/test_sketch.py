@@ -11,7 +11,6 @@ from distinf import (
     CADS,
     MultiInstanceGraph,
     assign_ranks,
-    build_ads_instance,
     build_cads,
     build_threshold_sketches,
     estimate_influence,
@@ -22,14 +21,22 @@ from distinf import (
     make_threshold,
     merge_cads,
     save_sketches,
-    structured_ranks,
     threshold_influence_estimate,
-    uniform_ranks,
 )
 
-from distinf.sketch import UNIFORM_DOMAIN, _union
+from distinf.sketch import UNIFORM_DOMAIN, RankAssignment, _ads_candidates, _union, structured_ranks, uniform_ranks
 
-from bruteforce import bf_all_pairs, cads_bf, influence_bf, random_graph, small_graphs, union_bf
+from bruteforce import (
+    absorbing_graph,
+    bf_all_pairs,
+    cads_bf,
+    gapped_and_tied,
+    influence_bf,
+    random_graph,
+    skewed_graph,
+    small_graphs,
+    union_bf,
+)
 
 INF = math.inf
 
@@ -40,12 +47,18 @@ def line_graph():
 
 def forced_ranks(n, ell, rank_of_pair):
     """RankAssignment with explicit integer ranks, for hand-built examples."""
-    from distinf.sketch import RankAssignment
-
     rank = np.zeros((n, ell), dtype=np.int64)
     for (v, i), r in rank_of_pair.items():
         rank[v, i] = r
     return RankAssignment(n, ell, rank=rank, norm=n * ell)
+
+
+def build_ads_instance(g, instance, ranks, k, limit=INF):
+    """Per node, the instance's all-distances sketch within limit: the union filter over its candidates."""
+    owner, node, dist = _ads_candidates(g, instance, ranks, k, limit)
+    at = np.searchsorted(owner, np.arange(g.n + 1))
+    return [merge_cads([CADS(ranks.rank[node[a:b], instance], dist[a:b], node[a:b], np.full(b - a, instance), k,
+                             g.n, g.ell, ranks.norm)], k) for a, b in zip(at[:-1], at[1:])]
 
 
 def cads_of(entries, k, n, ell):
@@ -145,6 +158,22 @@ def test_ads_entries_satisfy_inclusion_rule_exhaustively(g, k, model, seed):
         got = sketches[v].entries
         assert [(r, u, i) for r, _, u, i in got] == [(r, u, i) for r, _, u, i in want]
         assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
+
+
+def test_cads_match_inclusion_rule_on_absorbing_gapped_and_tied_graphs():
+    # absorbed lengths (d + w == d), edges an instance lacks and distance ties
+    # all meet the block search's pruning and the union filter's tie-break
+    for seed in range(3):
+        for g in (absorbing_graph(seed, ell=3), *gapped_and_tied(skewed_graph(30, 3, seed, 3), seed)):
+            dists = bf_all_pairs(g)
+            for k, model in ((1, "permutation"), (3, "uniform"), (8, "permutation")):
+                sketches, ra = build_cads(g, k, seed, rank_model=model)
+                for v in range(g.n):
+                    # the reference sums lengths from v's end of a path, the search from the other end
+                    want = sorted(cads_bf(g, ra, k, v, dists), key=lambda e: (e[1], e[2], e[3]))
+                    got = sketches[v].entries
+                    assert [(r, u, i) for r, _, u, i in got] == [(r, u, i) for r, _, u, i in want]
+                    assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
 
 
 # ------------------------------------------------------------- merging

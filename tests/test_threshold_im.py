@@ -10,8 +10,8 @@ from distinf import (
     lazy_greedy,
     make_threshold,
     run_threshold_im,
-    structured_ranks,
 )
+from distinf.sketch import structured_ranks
 from distinf.threshold_im import ThresholdState
 
 from bruteforce import (
