@@ -514,9 +514,11 @@ def reverse_balls(
 
     Row r is the reverse ball of sources[r] in instances[r]: the nodes whose
     distance *to* the source is at most limit, read from the reverse CSR.
-    The limit is one float or an (n,) array of per-node bounds: no search
-    enters a node beyond its own bound (a source holds itself at 0), so a
-    distance is the shortest over paths that stay within every bound.
+    The limit is one float or an (ell, n) array of per-node bounds, read at
+    each row's instance: no search enters a node beyond its own bound (a
+    source holds itself at 0), so a distance is the shortest over paths that
+    stay within every bound.  Rows do not interact, so a row's ball is the
+    same whichever rows share the call.
     The search keeps its state sparse, as a sorted int64 key row * n + node
     with one distance per key, so its cost follows the balls' sizes, not n.
     Each label-correcting round expands the keys that improved in the last
@@ -534,15 +536,45 @@ def reverse_balls(
     if src.ndim != 1:
         raise ValueError("reverse balls take one source per row")
     limit = np.minimum(limit, sys.float_info.max)  # never reach a node at infinite distance
-    if limit.ndim and limit.shape != (n,):
-        raise ValueError(f"need one limit or one per node, got shape {limit.shape}")
+    if limit.ndim:
+        if limit.shape != (g.ell, n):
+            raise ValueError(f"need one limit or one per (instance, node), got shape {limit.shape}")
+        limit = limit.ravel()  # the bound of (instance, node) is limit[instance * n + node]
     indptr, tails, weights = g.reverse_csr()
     key = np.arange(src.size, dtype=np.int64) * n + src  # sorted, as rows are
     dist = np.zeros(src.size)
+
+    def relax(a: int, b: int) -> np.ndarray:
+        # expand front keys a:b of the round's arrays (row, deg, shift, ... below), update or
+        # insert the keys they improve and return those; the edge-sized temporaries die here
+        nonlocal key, dist
+        p = np.repeat(np.arange(a, b), deg[a:b])
+        edge = shift[p] + np.arange(starts[a], starts[a] + p.size)
+        cand = base[p] + weights[edge]
+        tail = tails[edge]
+        tgt = row[p] * n + tail
+        keep = cand <= (limit[base_csr[p] + tail] if limit.ndim else limit)
+        del p, edge, tail  # about 1 MB less peak RSS on the benchmark's oracle build
+        tgt, cand = tgt[keep], cand[keep]
+        order = np.argsort(tgt)
+        tgt, cand = tgt[order], cand[order]
+        head = np.flatnonzero(np.diff(tgt, prepend=-1))  # the first of each run of one key
+        tgt, cand = tgt[head], np.minimum.reduceat(cand, head)
+        pos = np.searchsorted(key, tgt)
+        at = np.minimum(pos, key.size - 1)
+        found = key[at] == tgt
+        better = found & (cand < dist[at])
+        dist[pos[better]] = cand[better]
+        new = ~found
+        key = np.insert(key, pos[new], tgt[new])
+        dist = np.insert(dist, pos[new], cand[new])
+        return tgt[better | new]
+
     front = key
     while front.size:
         row, node = np.divmod(front, n)
-        csr = inst[row] * n + node
+        base_csr = inst[row] * n  # the first reverse CSR row of each key's instance
+        csr = base_csr + node
         first = indptr[csr]
         deg = indptr[csr + 1] - first
         ends = np.cumsum(deg)
@@ -550,26 +582,7 @@ def reverse_balls(
         shift = first - starts  # expansion j of key p scans edge j + shift[p]
         base = dist[np.searchsorted(key, front)]
         cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right")
-        changed = []
-        for a, b in zip([0, *cuts], [*cuts, front.size]):
-            p = np.repeat(np.arange(a, b), deg[a:b])
-            edge = shift[p] + np.arange(starts[a], starts[a] + p.size)
-            cand = base[p] + weights[edge]
-            tgt = row[p] * n + tails[edge]
-            keep = cand <= (limit[tails[edge]] if limit.ndim else limit)
-            tgt, cand = tgt[keep], cand[keep]
-            order = np.argsort(tgt)
-            tgt, head = np.unique(tgt[order], return_index=True)
-            cand = np.minimum.reduceat(cand[order], head)
-            pos = np.searchsorted(key, tgt)
-            at = np.minimum(pos, key.size - 1)
-            found = key[at] == tgt
-            better = found & (cand < dist[at])
-            dist[pos[better]] = cand[better]
-            new = ~found
-            key = np.insert(key, pos[new], tgt[new])
-            dist = np.insert(dist, pos[new], cand[new])
-            changed.append(tgt[better | new])
+        changed = [relax(a, b) for a, b in zip([0, *cuts], [*cuts, front.size])]
         front = changed[0] if len(changed) == 1 else np.unique(np.concatenate(changed))
     row, node = np.divmod(key, n)
     # keys are in (row, node) order, so a stable sort by (row, dist rank)

@@ -222,7 +222,8 @@ class PPSState:
         lst = self.index.get(pair)
         est_h, est_m = self.est_h, self.est_m
         while True:
-            c = fn(self.next_scan(v, i)) - ad
+            a_d = fn(self.next_scan(v, i))  # the decay at the distance of the scan below
+            c = a_d - ad
             if c <= 0:
                 prio[v] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
                 self.cursors.pop(pair, None)
@@ -243,7 +244,6 @@ class PPSState:
                     cursor.settle_next()  # replay the source; its scan is in the index
                 u, d = cursor.settle_next()
             self.cursor_scans += 1
-            a_d = fn(d)
             lst.append((u, d, a_d))
             if c >= tau:
                 est_h[u] += c

@@ -13,8 +13,11 @@ Combined sketches keep, per node, the k smallest ranks at distance 0 and the
 rank-distance pairs whose rank is below the k-th smallest among strictly
 closer pairs; distance ties are broken by (node, instance) index.  Every
 sketch is a `CADS`: parallel arrays (rank, distance, node, instance) sorted
-by that key.  Both kinds come from one search per instance, which finds a
-superset of its all-distances sketch entries (the candidates).  One
+by that key.  Both kinds come from one pruned reverse search, which finds a
+superset of each instance's all-distances sketch entries (the candidates).
+It runs over groups of instances, as many as the kernel block holds
+k-th-distance tables for, and makes one `reverse_balls` call per rank block
+of a group; an instance's candidates do not depend on the grouping.  One
 vectorized union filter, `merge_cads`, forms both a node's combined sketch
 from its candidates in every instance and the union sketch of a query's
 seed set.  A threshold sketch of a node is the k smallest ranks among its
@@ -26,12 +29,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph, _check_arrays, _check_labels, _read_npz, _write_npz, reverse_balls
+from .graph import MultiInstanceGraph, _check_arrays, _check_labels, _read_npz, _write_npz, reverse_balls, source_blocks
 
 INF = math.inf
 
@@ -105,46 +108,97 @@ def assign_ranks(n: int, ell: int, k: int, seed: int) -> RankAssignment:
 
 def _fold_k_smallest(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """Fold values[j] into row rows[j] of an ascending (n, k) table of k smallest values, in
-    place, reading and writing only those rows; padding (inf, or a rank above all) sorts last."""
+    place, reading and writing only those rows; padding (inf for distances, the int64 maximum
+    for ranks) sorts last.
+
+    Only the new values are sorted, by (row, value).  Each touched row's old slots and its
+    smallest new values, padded to as many as any row needs (at most k), fill one array, and
+    one in-place row-wise sort of it puts the row's k smallest first.
+    """
     k = table.shape[1]
-    touched = np.unique(rows)
-    row = np.concatenate((np.repeat(touched, k), rows))
-    val = np.concatenate((table[touched].ravel(), values))
-    order = np.lexsort((val, row))
-    # groups follow `touched`, and each holds at least its row's k old slots
-    first = np.searchsorted(row[order], touched)
-    table[touched] = val[order[first[:, None] + np.arange(k)]]
+    order = np.lexsort((values, rows))
+    rows, values = rows[order], values[order]
+    head = np.flatnonzero(np.diff(rows, prepend=-1))  # where each touched row's values start
+    count = np.diff(head, append=rows.size)
+    group = np.repeat(np.arange(head.size), count)
+    slot = np.arange(rows.size) - head[group]  # position among the row's new values
+    width = min(k, int(count.max(initial=0)))  # the new values a row can keep
+    fit = slot < width
+    pad = np.inf if table.dtype.kind == "f" else np.iinfo(table.dtype).max
+    touched = rows[head]
+    merged = np.full((head.size, k + width), pad, dtype=table.dtype)
+    merged[:, :k] = table[touched]
+    merged[group[fit], k + slot[fit]] = values[fit]
+    merged.sort(axis=1)
+    table[touched] = merged[:, :k]
+
+
+def _instance_groups(g: MultiInstanceGraph, k: int) -> Iterator[range]:
+    """Consecutive instance ranges whose k-th-distance tables (n * k floats per instance) fit
+    in one kernel block, so one sketch search covers each range."""
+    return source_blocks(g.n * k, g.ell)
+
+
+def _search_blocks(
+    g: MultiInstanceGraph, instances: range, ranks: RankAssignment, k: int, limit: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per rank block, parallel arrays (instance, owner, source, dist) sorted
+    by instance: the block's candidates in every instance of the range.
+
+    The pruned reverse search of Cohen et al. runs each instance's ranked
+    sources in rank order, in blocks of k // 2 and then 1.5 times the last.
+    Block b of every instance of the range is one `reverse_balls` call, bounded
+    at each (instance, node) by min(limit, its k-th smallest distance from the
+    instance's earlier blocks).  Earlier candidates have smaller ranks and
+    searched distances no shorter than the true ones, so the search drops only
+    pairs outside the sketch and finds each entry at its exact distance.
+    Sources of one block do not prune each other (about 15% more candidates on
+    random graphs); `merge_cads` keeps exactly the entries.  An instance's
+    candidates do not depend on which instances share its range.
+    """
+    n, m = g.n, len(instances)
+    ranked = []  # per instance, its ranked sources in rank order
+    for i in instances:
+        col = ranks.rank[:, i]
+        ranked.append(np.argsort(col)[np.count_nonzero(col == 0) :])  # unranked pairs (rank 0) sort first
+    kth = np.full((m * n, k), INF)  # row j * n + v: node v's k smallest candidate distances so far in instances[j]
+    bound = np.full((g.ell, n), float(limit))  # rows outside the range are not read
+    start, size = 0, max(1, k // 2)
+    while start < max(r.size for r in ranked):
+        blocks = [r[start : start + size] for r in ranked]
+        local = np.repeat(np.arange(m), [b.size for b in blocks])
+        src = np.concatenate(blocks)
+        bound[instances.start : instances.stop] = np.minimum(limit, kth[:, -1].reshape(m, n))
+        row, owner, dist = reverse_balls(g, local + instances.start, src, bound)
+        j = local[row]
+        _fold_k_smallest(kth, j * n + owner, dist)
+        yield j + instances.start, owner, src[row], dist
+        del row, owner, dist, j  # the caller has taken what it needs from this block
+        start += size
+        size = math.ceil(size * _BLOCK_GROWTH)
 
 
 def _ads_candidates(
-    g: MultiInstanceGraph, instance: int, ranks: RankAssignment, k: int, limit: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parallel arrays (owner, source, dist), sorted by owner: a superset of
-    one instance's all-distances sketch entries within limit (its candidates).
-
-    The pruned reverse search of Cohen et al. runs the ranked sources in rank
-    order, in blocks of `reverse_balls` rows bounded at each node by min(limit,
-    its k-th smallest distance from earlier blocks).  Earlier candidates have
-    smaller ranks and searched distances no shorter than the true ones, so the
-    search drops only pairs outside the sketch and finds each entry at its
-    exact distance.  Sources of one block do not prune each other (about 15%
-    more candidates on random graphs); `merge_cads` keeps exactly the entries.
-    """
-    col = ranks.rank[:, instance]
-    ranked = np.argsort(col)[np.count_nonzero(col == 0) :]  # in rank order; unranked pairs (rank 0) sort first
-    kth = np.full((g.n, k), INF)  # per node, its k smallest candidate distances so far
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    start, size = 0, max(1, k // 2)
-    while start < ranked.size:
-        block = ranked[start : start + size]
-        row, owner, dist = reverse_balls(g, instance, block, np.minimum(limit, kth[:, -1]))
-        _fold_k_smallest(kth, owner, dist)
-        parts.append((owner, block[row], dist))
-        start += size
-        size = math.ceil(size * _BLOCK_GROWTH)
-    owner, src, dist = (np.concatenate(c) for c in zip(*parts))
-    order = np.argsort(owner, kind="stable")
-    return owner[order], src[order], dist[order]
+    g: MultiInstanceGraph, instances: range, ranks: RankAssignment, k: int, limit: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per instance of the range, parallel arrays (owner, source, dist), sorted
+    by owner: a superset of its all-distances sketch entries within limit (its
+    candidates), from `_search_blocks`."""
+    parts = [[(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))] for _ in instances]
+    for inst, owner, src, dist in _search_blocks(g, instances, ranks, k, limit):
+        # copies, so that each instance's fragments can go as soon as its columns are joined,
+        # and the block's own arrays before the next block is searched
+        at = np.searchsorted(inst, np.arange(instances.start, instances.stop + 1)).tolist()
+        for frags, a, b in zip(parts, at[:-1], at[1:]):
+            frags.append((owner[a:b].copy(), src[a:b].copy(), dist[a:b].copy()))
+        del inst, owner, src, dist
+    out = []
+    for j in range(len(parts)):
+        owner, src, dist = (np.concatenate(c) for c in zip(*parts[j]))
+        parts[j] = []
+        order = np.argsort(owner, kind="stable")
+        out.append((owner[order], src[order], dist[order]))
+    return out
 
 
 @dataclass(eq=False)
@@ -244,9 +298,9 @@ def build_cads(
         raise ValueError(f"unknown rank model {rank_model!r}")
     ranks = assign_ranks(g.n, g.ell, k, seed) if rank_model == "permutation" else uniform_ranks(g.n, g.ell, seed)
     cols = []  # per instance: node v's candidates are rank, dist and node [at[v]:at[v + 1]]
-    for i in range(g.ell):
-        owner, node, dist = _ads_candidates(g, i, ranks, k, INF)
-        cols.append((np.searchsorted(owner, np.arange(g.n + 1)).tolist(), ranks.rank[node, i], dist, node))
+    for group in _instance_groups(g, k):
+        for i, (owner, node, dist) in zip(group, _ads_candidates(g, group, ranks, k, INF)):
+            cols.append((np.searchsorted(owner, np.arange(g.n + 1)).tolist(), ranks.rank[node, i], dist, node))
 
     def part(v: int, i: int) -> CADS:  # node v's candidates in instance i, unfiltered
         at, rank, dist, node = cols[i]
@@ -304,9 +358,10 @@ def build_threshold_sketches(
     """Bottom-k sketches of the within-T reachable pairs, for every node.
 
     An instance's search candidates cut at T hold its k smallest ranks
-    within T of every node, and all of them lie within T.  Per instance, the
-    candidate ranks below a node's k-th smallest rank so far are folded into
-    its row of `bottom` at once, so only one instance's candidates are held.
+    within T of every node, and all of them lie within T.  Per rank block of
+    the search, the candidate ranks below a node's k-th smallest rank so far
+    are folded into its row of `bottom` at once, so only one block's
+    candidates are held.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -314,11 +369,11 @@ def build_threshold_sketches(
         raise ValueError(f"threshold sketch size k must be at least 2, got {k}")
     unset = np.iinfo(np.int64).max  # above every rank
     bottom = np.full((g.n, k), unset)  # per node, its k smallest ranks so far, ascending
-    for instance in range(g.ell):
-        owner, src, _ = _ads_candidates(g, instance, ranks, k, T)
-        rank = ranks.rank[src, instance]
-        keep = rank < bottom[owner, -1]
-        _fold_k_smallest(bottom, owner[keep], rank[keep])
+    for group in _instance_groups(g, k):
+        for inst, owner, src, _ in _search_blocks(g, group, ranks, k, T):
+            rank = ranks.rank[src, inst]
+            keep = rank < bottom[owner, -1]
+            _fold_k_smallest(bottom, owner[keep], rank[keep])
     return [ThresholdSketch(b[b < unset].tolist(), k, g.n, g.ell, T, ranks.norm) for b in bottom]
 
 

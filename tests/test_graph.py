@@ -459,23 +459,36 @@ def test_reverse_balls_order_absorbed_lengths_by_node():
 
 def test_reverse_balls_with_per_node_limits():
     # b lies beyond its bound, so a is not reached through it, whatever a's own bound
-    row, node, dist = graph.reverse_balls(line_graph(), 0, [2, 1], np.array([INF, 0.5, 0.0]))
+    row, node, dist = graph.reverse_balls(line_graph(), 0, [2, 1], np.array([[INF, 0.5, 0.0]]))
     assert list(zip(row.tolist(), node.tolist(), dist.tolist())) == [(0, 2, 0.0), (1, 1, 0.0), (1, 0, 1.0)]
     rng = np.random.default_rng(3)
     for g in (random_graph(30, 3, seed=1, ell=2), absorbing_graph(2), *gapped_and_tied(skewed_graph(30, 3, 4, 2), 4)):
         for scale in (0.5, 2.0):
-            bound = rng.exponential(scale, g.n)
-            bound[rng.random(g.n) < 0.2] = rng.choice([0.0, INF])
+            bound = rng.exponential(scale, (g.ell, g.n))
+            bound[rng.random(bound.shape) < 0.2] = rng.choice([0.0, INF])
             for i in range(g.ell):
                 reverse = [(h, t, w) for t, h, w in instance_edges(g, i)]
                 row, node, dist = graph.reverse_balls(g, i, range(g.n), bound)
-                want = [(s, v, d) for s in range(g.n)
-                        for d, v in sorted((d, v) for v, d in enumerate(bf_distances(reverse, g.n, [s], bound)) if d < INF)]
+                want = [(s, v, d) for s in range(g.n) for d, v in
+                        sorted((d, v) for v, d in enumerate(bf_distances(reverse, g.n, [s], bound[i])) if d < INF)]
                 assert list(zip(row.tolist(), node.tolist(), dist.tolist())) == want
-    with pytest.raises(ValueError, match="one limit or one per node"):
-        graph.reverse_balls(line_graph(), 0, [2], np.ones(2))
+    with pytest.raises(ValueError, match="one limit or one per"):
+        graph.reverse_balls(line_graph(), 0, [2], np.ones(3))  # one bound per node, not per (instance, node)
     with pytest.raises(ValueError, match="limit"):
-        graph.reverse_balls(line_graph(), 0, [2], np.array([1.0, math.nan, 1.0]))
+        graph.reverse_balls(line_graph(), 0, [2], np.array([[1.0, math.nan, 1.0]]))
+
+
+def test_reverse_balls_read_each_rows_instance_limit():
+    # rows of every instance in one call each get the ball of a call for their instance alone
+    rng = np.random.default_rng(5)
+    for g in (random_graph(30, 3, seed=2, ell=3), absorbing_graph(1, ell=3), *gapped_and_tied(skewed_graph(30, 3, 6, 3), 6)):
+        bound = rng.exponential(1.0, (g.ell, g.n))
+        bound[rng.random(bound.shape) < 0.2] = INF
+        instances, sources = rng.integers(0, g.ell, 40).tolist(), rng.integers(0, g.n, 40).tolist()
+        got = ball_rows(g, instances, sources, bound)
+        for i in range(g.ell):
+            mine = [r for r, j in enumerate(instances) if j == i]
+            assert [got[r] for r in mine] == ball_rows(g, i, [sources[r] for r in mine], bound)
 
 
 def test_reverse_balls_blocks_and_validation(monkeypatch):

@@ -14,6 +14,7 @@ from distinf import (
     build_cads,
     build_threshold_sketches,
     estimate_influence,
+    graph,
     influence_exact,
     load_sketches,
     make_exponential,
@@ -24,7 +25,16 @@ from distinf import (
     threshold_influence_estimate,
 )
 
-from distinf.sketch import UNIFORM_DOMAIN, RankAssignment, _ads_candidates, _union, structured_ranks, uniform_ranks
+from distinf.sketch import (
+    UNIFORM_DOMAIN,
+    RankAssignment,
+    _ads_candidates,
+    _fold_k_smallest,
+    _instance_groups,
+    _union,
+    structured_ranks,
+    uniform_ranks,
+)
 
 from bruteforce import (
     absorbing_graph,
@@ -55,7 +65,7 @@ def forced_ranks(n, ell, rank_of_pair):
 
 def build_ads_instance(g, instance, ranks, k, limit=INF):
     """Per node, the instance's all-distances sketch within limit: the union filter over its candidates."""
-    owner, node, dist = _ads_candidates(g, instance, ranks, k, limit)
+    [(owner, node, dist)] = _ads_candidates(g, range(instance, instance + 1), ranks, k, limit)
     at = np.searchsorted(owner, np.arange(g.n + 1))
     return [merge_cads([CADS(ranks.rank[node[a:b], instance], dist[a:b], node[a:b], np.full(b - a, instance), k,
                              g.n, g.ell, ranks.norm)], k) for a, b in zip(at[:-1], at[1:])]
@@ -174,6 +184,44 @@ def test_cads_match_inclusion_rule_on_absorbing_gapped_and_tied_graphs():
                     got = sketches[v].entries
                     assert [(r, u, i) for r, _, u, i in got] == [(r, u, i) for r, _, u, i in want]
                     assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
+
+
+def test_fold_k_smallest_matches_a_full_sort():
+    # rows that get more than k values, repeated rows and values, and no values at all
+    rng = np.random.default_rng(0)
+    top = np.iinfo(np.int64).max
+    for k in (1, 3, 5):
+        for count in (0, 1, 4, 40):
+            for pad, draw in ((INF, lambda size: rng.exponential(1.0, size).round(1)),
+                              (top, lambda size: rng.integers(1, 30, size))):
+                table = draw((7, k))
+                table[rng.random(table.shape) < 0.4] = pad  # partly filled rows
+                table.sort(axis=1)
+                rows, values = rng.integers(0, 7, count), draw(count)
+                want = table.copy()
+                for r in range(7):
+                    want[r] = np.sort(np.concatenate((table[r], values[rows == r])))[:k]
+                _fold_k_smallest(table, rows, values)
+                assert table.dtype == want.dtype and np.array_equal(table, want)
+
+
+def test_sketch_search_is_the_same_in_any_instance_grouping(monkeypatch, tmp_path):
+    # one search per instance group: the budget splits 4 instances into 1, 2 or 4 groups
+    k, T = 4, 1.0
+    for g in (random_graph(30, 3, seed=4, ell=4), absorbing_graph(3, ell=4)):
+        ranks = assign_ranks(g.n, g.ell, k, 2)
+        runs = []
+        for per_group, groups in ((4, 1), (2, 2), (1, 4)):
+            monkeypatch.setattr(graph, "_BLOCK_CELLS", per_group * g.n * k)
+            assert len(list(_instance_groups(g, k))) == groups
+            cols = [col for grp in _instance_groups(g, k) for col in _ads_candidates(g, grp, ranks, k, INF)]
+            assert len(cols) == g.ell
+            path = tmp_path / f"{per_group}.bin"
+            save_sketches(str(path), build_cads(g, k, 2)[0], 2)
+            runs.append((cols, path.read_bytes(), [sk.ranks for sk in build_threshold_sketches(g, ranks, k, T)]))
+        for cols, file, threshold in runs[1:]:
+            assert all(np.array_equal(a, b) for col, want in zip(cols, runs[0][0]) for a, b in zip(col, want))
+            assert file == runs[0][1] and threshold == runs[0][2]
 
 
 # ------------------------------------------------------------- merging
