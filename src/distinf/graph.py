@@ -519,11 +519,15 @@ def reverse_balls(
     source holds itself at 0), so a distance is the shortest over paths that
     stay within every bound.  Rows do not interact, so a row's ball is the
     same whichever rows share the call.
-    The search keeps its state sparse, as a sorted int64 key row * n + node
-    with one distance per key, so its cost follows the balls' sizes, not n.
-    Each label-correcting round expands the keys that improved in the last
-    round over the reverse CSR, keeps the least candidate per key with one
-    sort, and updates or inserts keys with searchsorted.  As in
+    The search keeps its distances in one dense float64 table over a block
+    of rows: at most block_rows(n) rows of n cells, one _BLOCK_CELLS, which
+    bounds its memory besides the balls it returns.  The rows of a larger
+    call run block after block, and a block resets only the cells it
+    reached.  Each label-correcting round expands the cells that improved in
+    the last round over the reverse CSR, drops the candidates that do not
+    beat their cell, and writes the least candidate per cell, found with one
+    sort, to the table.  A block's reached cells leave in (row, dist, node)
+    order, sorted by one int64 key.  As in
     `distance_rows`, lengths are positive, so distances are bit for bit a
     reverse `DijkstraCursor`'s, and (dist, node) is the order in which it
     settles them, unless a length is absorbed (d + w == d) and the absorbed
@@ -541,55 +545,65 @@ def reverse_balls(
             raise ValueError(f"need one limit or one per (instance, node), got shape {limit.shape}")
         limit = limit.ravel()  # the bound of (instance, node) is limit[instance * n + node]
     indptr, tails, weights = g.reverse_csr()
-    key = np.arange(src.size, dtype=np.int64) * n + src  # sorted, as rows are
-    dist = np.zeros(src.size)
+    step = block_rows(n)
+    table = np.full(min(src.size, step) * n, INF)  # cell (row - lo) * n + node of the block at lo
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]  # per block, its sorted balls
 
-    def relax(a: int, b: int) -> np.ndarray:
-        # expand front keys a:b of the round's arrays (row, deg, shift, ... below), update or
-        # insert the keys they improve and return those; the edge-sized temporaries die here
-        nonlocal key, dist
-        p = np.repeat(np.arange(a, b), deg[a:b])
+    def relax(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        # expand front cells a:b of the round's arrays (deg, shift, base, ... below), write the
+        # cells they improve to the table and return those and the first reached of them; the
+        # edge-sized temporaries die here
+        p = np.arange(a, b).repeat(deg[a:b])
         edge = shift[p] + np.arange(starts[a], starts[a] + p.size)
         cand = base[p] + weights[edge]
         tail = tails[edge]
-        tgt = row[p] * n + tail
+        tgt = row_cell[p] + tail
         keep = cand <= (limit[base_csr[p] + tail] if limit.ndim else limit)
         del p, edge, tail  # about 1 MB less peak RSS on the benchmark's oracle build
+        keep &= cand < table[tgt]
         tgt, cand = tgt[keep], cand[keep]
-        order = np.argsort(tgt)
+        order = tgt.argsort()
         tgt, cand = tgt[order], cand[order]
-        head = np.flatnonzero(np.diff(tgt, prepend=-1))  # the first of each run of one key
+        run = np.ones(tgt.size, bool)  # the first of each run of one cell
+        np.not_equal(tgt[1:], tgt[:-1], out=run[1:])
+        head = run.nonzero()[0]
         tgt, cand = tgt[head], np.minimum.reduceat(cand, head)
-        pos = np.searchsorted(key, tgt)
-        at = np.minimum(pos, key.size - 1)
-        found = key[at] == tgt
-        better = found & (cand < dist[at])
-        dist[pos[better]] = cand[better]
-        new = ~found
-        key = np.insert(key, pos[new], tgt[new])
-        dist = np.insert(dist, pos[new], cand[new])
-        return tgt[better | new]
+        fresh = tgt[table[tgt] == INF]  # limits are finite, so inf marks a cell not yet reached
+        table[tgt] = cand
+        return tgt, fresh
 
-    front = key
-    while front.size:
-        row, node = np.divmod(front, n)
-        base_csr = inst[row] * n  # the first reverse CSR row of each key's instance
-        csr = base_csr + node
-        first = indptr[csr]
-        deg = indptr[csr + 1] - first
-        ends = np.cumsum(deg)
-        starts = ends - deg
-        shift = first - starts  # expansion j of key p scans edge j + shift[p]
-        base = dist[np.searchsorted(key, front)]
-        cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right")
-        changed = [relax(a, b) for a, b in zip([0, *cuts], [*cuts, front.size])]
-        front = changed[0] if len(changed) == 1 else np.unique(np.concatenate(changed))
-    row, node = np.divmod(key, n)
-    # keys are in (row, node) order, so a stable sort by (row, dist rank)
-    # gives (row, dist, node) order
-    _, rank = np.unique(dist, return_inverse=True)
-    order = np.argsort(row * key.size + rank, kind="stable")
-    return row[order], node[order], dist[order]
+    for lo in range(0, src.size, step):
+        rows = min(step, src.size - lo)
+        front = np.arange(rows) * n + src[lo : lo + rows]
+        table[front] = 0.0
+        reached = [front]
+        first_csr = inst[lo : lo + rows] * n  # the first reverse CSR row of each row's instance
+        while front.size:
+            row, node = np.divmod(front, n)
+            row_cell = front - node  # the table cell of each front cell's row at node 0
+            base_csr = first_csr[row]
+            csr = base_csr + node
+            first = indptr[csr]
+            deg = indptr[csr + 1] - first
+            ends = deg.cumsum()
+            starts = ends - deg
+            shift = first - starts  # expansion j of cell p scans edge j + shift[p]
+            base = table[front]
+            if ends[-1] <= _BLOCK_CELLS:
+                front, found = relax(0, front.size)
+            else:  # chunks of whole front cells, each ending past a multiple of _BLOCK_CELLS edges
+                cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right").tolist()
+                changed, found = zip(*(relax(a, b) for a, b in zip([0, *cuts], [*cuts, front.size])))
+                front, found = np.unique(np.concatenate(changed)), np.concatenate(found)
+            reached.append(found)
+        reached = np.concatenate(reached)
+        level, rank = np.unique(table[reached], return_inverse=True)
+        table[reached] = INF  # the next block starts from an empty table
+        # one int64 key per reached cell, in (row, dist, node) order, below (rows * n) ** 2
+        key, node = np.divmod(np.sort((reached // n * level.size + rank) * n + reached % n), n)
+        row, rank = np.divmod(key, level.size)
+        parts.append((row + lo, node, level[rank]))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def residual_update(

@@ -113,10 +113,12 @@ def _fold_k_smallest(table: np.ndarray, rows: np.ndarray, values: np.ndarray) ->
 
     Only the new values are sorted, by (row, value).  Each touched row's old slots and its
     smallest new values, padded to as many as any row needs (at most k), fill one array, and
-    one in-place row-wise sort of it puts the row's k smallest first.
+    one in-place row-wise sort of it puts the row's k smallest first.  The touched rows are
+    merged in slices whose arrays hold at most one kernel block of cells.
     """
     k = table.shape[1]
-    order = np.lexsort((values, rows))
+    order = values.argsort()
+    order = order[rows[order].argsort(kind="stable")]  # by (row, value)
     rows, values = rows[order], values[order]
     head = np.flatnonzero(np.diff(rows, prepend=-1))  # where each touched row's values start
     count = np.diff(head, append=rows.size)
@@ -124,13 +126,17 @@ def _fold_k_smallest(table: np.ndarray, rows: np.ndarray, values: np.ndarray) ->
     slot = np.arange(rows.size) - head[group]  # position among the row's new values
     width = min(k, int(count.max(initial=0)))  # the new values a row can keep
     fit = slot < width
+    group, slot, values = group[fit], slot[fit], values[fit]  # still sorted by group
     pad = np.inf if table.dtype.kind == "f" else np.iinfo(table.dtype).max
     touched = rows[head]
-    merged = np.full((head.size, k + width), pad, dtype=table.dtype)
-    merged[:, :k] = table[touched]
-    merged[group[fit], k + slot[fit]] = values[fit]
-    merged.sort(axis=1)
-    table[touched] = merged[:, :k]
+    for blk in source_blocks(k + width, head.size):
+        at = touched[blk.start : blk.stop]
+        a, b = np.searchsorted(group, (blk.start, blk.stop))
+        merged = np.full((at.size, k + width), pad, dtype=table.dtype)
+        merged[:, :k] = table[at]
+        merged[group[a:b] - blk.start, k + slot[a:b]] = values[a:b]
+        merged.sort(axis=1, kind="stable")  # a stable sort merges the two ascending runs
+        table[at] = merged[:, :k]
 
 
 def _instance_groups(g: MultiInstanceGraph, k: int) -> Iterator[range]:
@@ -176,29 +182,6 @@ def _search_blocks(
         del row, owner, dist, j  # the caller has taken what it needs from this block
         start += size
         size = math.ceil(size * _BLOCK_GROWTH)
-
-
-def _ads_candidates(
-    g: MultiInstanceGraph, instances: range, ranks: RankAssignment, k: int, limit: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per instance of the range, parallel arrays (owner, source, dist), sorted
-    by owner: a superset of its all-distances sketch entries within limit (its
-    candidates), from `_search_blocks`."""
-    parts = [[(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))] for _ in instances]
-    for inst, owner, src, dist in _search_blocks(g, instances, ranks, k, limit):
-        # copies, so that each instance's fragments can go as soon as its columns are joined,
-        # and the block's own arrays before the next block is searched
-        at = np.searchsorted(inst, np.arange(instances.start, instances.stop + 1)).tolist()
-        for frags, a, b in zip(parts, at[:-1], at[1:]):
-            frags.append((owner[a:b].copy(), src[a:b].copy(), dist[a:b].copy()))
-        del inst, owner, src, dist
-    out = []
-    for j in range(len(parts)):
-        owner, src, dist = (np.concatenate(c) for c in zip(*parts[j]))
-        parts[j] = []
-        order = np.argsort(owner, kind="stable")
-        out.append((owner[order], src[order], dist[order]))
-    return out
 
 
 @dataclass(eq=False)
@@ -293,21 +276,34 @@ def build_cads(
     g: MultiInstanceGraph, k: int, seed: int, rank_model: str = "permutation"
 ) -> tuple[list[CADS], RankAssignment]:
     """Full preprocessing: ranks, then each node's combined sketch, the union
-    filter over its search candidates from every instance."""
+    filter over its search candidates from every instance (one part per node)."""
     if rank_model not in ("permutation", "uniform"):
         raise ValueError(f"unknown rank model {rank_model!r}")
     ranks = assign_ranks(g.n, g.ell, k, seed) if rank_model == "permutation" else uniform_ranks(g.n, g.ell, seed)
-    cols = []  # per instance: node v's candidates are rank, dist and node [at[v]:at[v + 1]]
+    blocks, count = [], np.zeros(g.n, np.int64)  # every rank block's candidates; candidates per owner
     for group in _instance_groups(g, k):
-        for i, (owner, node, dist) in zip(group, _ads_candidates(g, group, ranks, k, INF)):
-            cols.append((np.searchsorted(owner, np.arange(g.n + 1)).tolist(), ranks.rank[node, i], dist, node))
-
-    def part(v: int, i: int) -> CADS:  # node v's candidates in instance i, unfiltered
-        at, rank, dist, node = cols[i]
-        a, b = at[v], at[v + 1]
-        return CADS(rank[a:b], dist[a:b], node[a:b], np.full(b - a, i), k, g.n, g.ell, ranks.norm)
-
-    combined = [merge_cads([part(v, i) for i in range(g.ell)], k) for v in range(g.n)]
+        for inst, owner, src, dist in _search_blocks(g, group, ranks, k, INF):
+            blocks.append((owner, src.astype(np.int32), dist, inst.astype(np.int32)))
+            count += np.bincount(owner, minlength=g.n)
+    at = np.concatenate(([0], count.cumsum()))  # node v's candidates go to at[v]:at[v + 1]
+    # flat columns, nodes and instances as int32 as sketch files store them; each block goes after
+    # the earlier blocks' candidates of each owner and is then dropped, so the blocks and the
+    # columns are never both held in full
+    node, dist, inst = np.empty(at[-1], np.int32), np.empty(at[-1]), np.empty(at[-1], np.int32)
+    fill = at[:-1].copy()
+    while blocks:
+        owner, *cols = blocks.pop(0)
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        pos = fill[owner] + np.arange(owner.size) - np.searchsorted(owner, owner)
+        for out, col in zip((node, dist, inst), cols):
+            out[pos] = col[order]
+        fill += np.bincount(owner, minlength=g.n)
+    rank = ranks.rank[node, inst]
+    combined = [
+        merge_cads([CADS(rank[a:b], dist[a:b], node[a:b], inst[a:b], k, g.n, g.ell, ranks.norm)], k)
+        for a, b in zip(at[:-1], at[1:])
+    ]
     return combined, ranks
 
 

@@ -714,30 +714,65 @@ def _damage(cols, op, name, *args):
             cols[name] = a
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.sampled_from(["sk.bin", "tsk.bin"]), damage=_DAMAGE)
-def test_damaged_sketch_file_exits_0_or_2_with_one_line(sketch_files, kind, damage):
-    path, bad = sketch_files / kind, sketch_files / "bad.bin"
+def _write_damaged(path, bad, damage):
+    """Write to bad the file at path, cut short or with one array damaged by `_damage`."""
     op, *args = damage
     if op == "cut":
         data = path.read_bytes()
         bad.write_bytes(data[: args[0] % len(data)])
-    else:
-        with np.load(path) as data:
-            cols = dict(data)
-        try:
-            with np.errstate(all="ignore"):
-                _damage(cols, op, sorted(cols)[args[0] % len(cols)], *args[1:])
-        except (ValueError, OverflowError):  # e.g. a label that is not a number
-            assume(False)
-        _write_columns(bad, cols)
-    decay = "threshold:1.5" if kind == "tsk.bin" else "harmonic:1"
+        return
+    with np.load(path) as data:
+        cols = dict(data)
+    try:
+        with np.errstate(all="ignore"):
+            _damage(cols, op, sorted(cols)[args[0] % len(cols)], *args[1:])
+    except (ValueError, OverflowError):  # e.g. a label that is not a number
+        assume(False)
+    _write_columns(bad, cols)
+
+
+def _run_captured(argv):
+    """main(argv)'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["oracle", "query", "--sketches", str(bad), "--seeds-file", str(sketch_files / "seeds.txt"),
-                   "--decay", decay])
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["sk.bin", "tsk.bin"]), damage=_DAMAGE)
+def test_damaged_sketch_file_exits_0_or_2_with_one_line(sketch_files, kind, damage):
+    bad = sketch_files / "bad.bin"
+    _write_damaged(sketch_files / kind, bad, damage)
+    decay = "threshold:1.5" if kind == "tsk.bin" else "harmonic:1"
+    rc, out, err = _run_captured(["oracle", "query", "--sketches", str(bad), "--seeds-file",
+                                  str(sketch_files / "seeds.txt"), "--decay", decay])
     assert rc in (0, 2)
     if rc == 2:
-        assert err.getvalue().count("\n") == 1
+        assert err.count("\n") == 1
     else:
-        assert math.isfinite(float(out.getvalue()))
+        assert math.isfinite(float(out))
+
+
+@pytest.fixture(scope="module")
+def graph_cache(tmp_path_factory):
+    """The graph cache of a small letter-labelled graph with two instances."""
+    d = tmp_path_factory.mktemp("graph_cache")
+    edges = d / "edges.txt"
+    edges.write_text("a b\nb c\nc d\nd a\na c\n")
+    assert main(["gen", "--edges", str(edges), "--model", "exp:1", "--ell", "2", "--seed", "1",
+                 "--out", str(d / "g.npz")]) == 0
+    return d
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=_DAMAGE)
+def test_damaged_graph_cache_exits_0_or_2_with_one_line(graph_cache, damage):
+    bad = graph_cache / "bad.npz"
+    _write_damaged(graph_cache / "g.npz", bad, damage)
+    rc, out, err = _run_captured(["greedy", "exact", "--graph", str(bad), "--decay", "harmonic:1", "--seeds", "2"])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.count("\n") == 1
+    else:
+        assert out.startswith("rank,")

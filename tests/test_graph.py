@@ -494,10 +494,15 @@ def test_reverse_balls_read_each_rows_instance_limit():
 def test_reverse_balls_blocks_and_validation(monkeypatch):
     g = skewed_graph(40, 3, 7, 2)
     sources, instances = list(range(g.n)) * 2, [0] * g.n + [1] * g.n
-    want = graph.reverse_balls(g, instances, sources, 2.0)
-    monkeypatch.setattr(graph, "_BLOCK_CELLS", 5)  # a round expands 5 edges at a time
-    got = graph.reverse_balls(g, instances, sources, 2.0)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    limits = (2.0, INF, np.random.default_rng(7).exponential(2.0, (g.ell, g.n)))
+    want = [graph.reverse_balls(g, instances, sources, limit) for limit in limits]
+    # 5 cells: a round expands 5 edges at a time; 1, 2 or 3 rows of n cells: a table of that many
+    # rows, so the call's 80 rows run in 80, 40 or 27 row blocks
+    for cells in (5, g.n, 2 * g.n, 3 * g.n):
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", cells)
+        for limit, balls in zip(limits, want):
+            got = graph.reverse_balls(g, instances, sources, limit)
+            assert all(np.array_equal(a, b) for a, b in zip(got, balls))
     assert [a.size for a in graph.reverse_balls(g, 0, [], 1.0)] == [0, 0, 0]
     for inst, src in ((0, [g.n]), (2, [0]), (-1, [0])):
         with pytest.raises(ValueError, match="out of range"):

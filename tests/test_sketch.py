@@ -28,9 +28,9 @@ from distinf import (
 from distinf.sketch import (
     UNIFORM_DOMAIN,
     RankAssignment,
-    _ads_candidates,
     _fold_k_smallest,
     _instance_groups,
+    _search_blocks,
     _union,
     structured_ranks,
     uniform_ranks,
@@ -63,9 +63,21 @@ def forced_ranks(n, ell, rank_of_pair):
     return RankAssignment(n, ell, rank=rank, norm=n * ell)
 
 
+def search_columns(g, instances, ranks, k, limit=INF):
+    """Per instance of the range, its candidates (owner, source, dist) from `_search_blocks`, block by block."""
+    cols = {i: [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))] for i in instances}
+    for inst, owner, src, dist in _search_blocks(g, instances, ranks, k, limit):
+        for i in instances:
+            mine = inst == i
+            cols[i].append((owner[mine], src[mine], dist[mine]))
+    return [[np.concatenate(c) for c in zip(*cols[i])] for i in instances]
+
+
 def build_ads_instance(g, instance, ranks, k, limit=INF):
     """Per node, the instance's all-distances sketch within limit: the union filter over its candidates."""
-    [(owner, node, dist)] = _ads_candidates(g, range(instance, instance + 1), ranks, k, limit)
+    [(owner, node, dist)] = search_columns(g, range(instance, instance + 1), ranks, k, limit)
+    order = np.argsort(owner, kind="stable")
+    owner, node, dist = owner[order], node[order], dist[order]
     at = np.searchsorted(owner, np.arange(g.n + 1))
     return [merge_cads([CADS(ranks.rank[node[a:b], instance], dist[a:b], node[a:b], np.full(b - a, instance), k,
                              g.n, g.ell, ranks.norm)], k) for a, b in zip(at[:-1], at[1:])]
@@ -186,23 +198,26 @@ def test_cads_match_inclusion_rule_on_absorbing_gapped_and_tied_graphs():
                     assert [d for _, d, _, _ in got] == pytest.approx([d for _, d, _, _ in want], abs=1e-9)
 
 
-def test_fold_k_smallest_matches_a_full_sort():
-    # rows that get more than k values, repeated rows and values, and no values at all
+def test_fold_k_smallest_matches_a_full_sort(monkeypatch):
+    # rows that get more than k values, repeated rows and values, and no values at all; with a
+    # kernel block of 1 or 12 cells, one fold merges its touched rows in slices of 1 or more rows
     rng = np.random.default_rng(0)
     top = np.iinfo(np.int64).max
-    for k in (1, 3, 5):
-        for count in (0, 1, 4, 40):
-            for pad, draw in ((INF, lambda size: rng.exponential(1.0, size).round(1)),
-                              (top, lambda size: rng.integers(1, 30, size))):
-                table = draw((7, k))
-                table[rng.random(table.shape) < 0.4] = pad  # partly filled rows
-                table.sort(axis=1)
-                rows, values = rng.integers(0, 7, count), draw(count)
-                want = table.copy()
-                for r in range(7):
-                    want[r] = np.sort(np.concatenate((table[r], values[rows == r])))[:k]
-                _fold_k_smallest(table, rows, values)
-                assert table.dtype == want.dtype and np.array_equal(table, want)
+    for cells in (graph._BLOCK_CELLS, 1, 12):
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", cells)
+        for k in (1, 3, 5):
+            for count in (0, 1, 4, 40):
+                for pad, draw in ((INF, lambda size: rng.exponential(1.0, size).round(1)),
+                                  (top, lambda size: rng.integers(1, 30, size))):
+                    table = draw((7, k))
+                    table[rng.random(table.shape) < 0.4] = pad  # partly filled rows
+                    table.sort(axis=1)
+                    rows, values = rng.integers(0, 7, count), draw(count)
+                    want = table.copy()
+                    for r in range(7):
+                        want[r] = np.sort(np.concatenate((table[r], values[rows == r])))[:k]
+                    _fold_k_smallest(table, rows, values)
+                    assert table.dtype == want.dtype and np.array_equal(table, want)
 
 
 def test_sketch_search_is_the_same_in_any_instance_grouping(monkeypatch, tmp_path):
@@ -214,7 +229,7 @@ def test_sketch_search_is_the_same_in_any_instance_grouping(monkeypatch, tmp_pat
         for per_group, groups in ((4, 1), (2, 2), (1, 4)):
             monkeypatch.setattr(graph, "_BLOCK_CELLS", per_group * g.n * k)
             assert len(list(_instance_groups(g, k))) == groups
-            cols = [col for grp in _instance_groups(g, k) for col in _ads_candidates(g, grp, ranks, k, INF)]
+            cols = [col for grp in _instance_groups(g, k) for col in search_columns(g, grp, ranks, k)]
             assert len(cols) == g.ell
             path = tmp_path / f"{per_group}.bin"
             save_sketches(str(path), build_cads(g, k, 2)[0], 2)
