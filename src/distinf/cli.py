@@ -51,13 +51,19 @@ def _seed(text: str) -> int:
 
 
 def _read_seeds(path: str, labels: list[str]) -> list[int]:
-    """Node indices of the seed labels in a file, one label per line."""
+    """Node indices of the seed labels in a file, one label per line, each label at most once."""
     index = {label: v for v, label in enumerate(labels)}
+    seeds: dict[str, int] = {}  # in file order
     with open(path) as fh:
-        try:
-            return [index[tok] for tok in (line.strip() for line in fh) if tok]
-        except KeyError as exc:
-            raise ValueError(f"unknown node label: {exc.args[0]!r}") from None
+        for tok in (line.strip() for line in fh):
+            if not tok:
+                continue
+            if tok not in index:
+                raise ValueError(f"unknown node label: {tok!r}")
+            if tok in seeds:
+                raise ValueError(f"repeated seed label: {tok!r}")
+            seeds[tok] = index[tok]
+    return list(seeds.values())
 
 
 def _run_traced(args, run) -> int:

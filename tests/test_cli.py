@@ -650,6 +650,23 @@ def test_oracle_query_reads_the_labels_im_threshold_prints(labelled_edges, tmp_p
     assert "unknown node label: '0'" in capsys.readouterr().err
 
 
+def test_repeated_seed_label_exits_2_with_one_line(tmp_path, capsys):
+    # threshold sketches used to answer a seeds file that names a node twice
+    edges, seeds = tmp_path / "cycle.txt", tmp_path / "seeds.txt"
+    edges.write_text("a b\nb c\nc a\n")
+    seeds.write_text("a\na\n")
+    graph = ["--edges", str(edges), "--ell", "4", "--seed", "1", "--k", "4"]
+    sk, tsk = str(tmp_path / "sk.bin"), str(tmp_path / "tsk.bin")
+    assert main(["oracle", "build", *graph, "--out", sk]) == 0
+    assert main(["oracle", "build", *graph, "--threshold", "1.5", "--out", tsk]) == 0
+    capsys.readouterr()
+    for argv in (["oracle", "query", "--sketches", sk, "--decay", "harmonic:1"],
+                 ["oracle", "query", "--sketches", tsk, "--decay", "threshold:1.5"],
+                 ["eval", "--edges", str(edges), "--m", "4", "--decay", "harmonic:1"]):
+        assert main([*argv, "--seeds-file", str(seeds)]) == 2
+        assert capsys.readouterr().err == "error: repeated seed label: 'a'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -670,10 +687,12 @@ def test_seed_option_must_be_a_non_negative_int64(argv, capsys):
 
 @pytest.fixture(scope="module")
 def sketch_files(tmp_path_factory):
-    """A combined and a threshold sketch file of a small letter-labelled graph, and a seeds file."""
+    """A combined and a threshold sketch file of a small letter-labelled graph, its edge list
+    (also with lengths, as weighted.txt), and a seeds file."""
     d = tmp_path_factory.mktemp("sketch_files")
     edges = d / "edges.txt"
     edges.write_text("a b\nb c\nc d\nd a\na c\n")
+    (d / "weighted.txt").write_text("a b 0.5\nb c 1\nc d 2e0\nd a 1.5\na c 3\n")
     graph = ["--edges", str(edges), "--model", "exp:1", "--ell", "3", "--seed", "1", "--k", "3"]
     assert main(["oracle", "build", *graph, "--out", str(d / "sk.bin")]) == 0
     assert main(["oracle", "build", *graph, "--threshold", "1.5", "--out", str(d / "tsk.bin")]) == 0
@@ -714,12 +733,30 @@ def _damage(cols, op, name, *args):
             cols[name] = a
 
 
+# damage to a text file: cut short, one byte set, or a few bytes inserted
+_TEXT_DAMAGE = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10**6)),
+    st.tuples(st.just("byte"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6),
+              st.sampled_from([b" ", b"\t", b"\n", b"\r", b"#", b"a", b"-1", b"0", b"nan", b"inf", b"1e400",
+                               b"1e-400", b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x0b", b"a\n"])),
+)
+
+
 def _write_damaged(path, bad, damage):
-    """Write to bad the file at path, cut short or with one array damaged by `_damage`."""
+    """Write to bad the file at path, cut short, with one byte set or bytes inserted, or (for
+    an npz file) with one array damaged by `_damage`."""
     op, *args = damage
-    if op == "cut":
+    if op in ("cut", "byte", "insert"):
         data = path.read_bytes()
-        bad.write_bytes(data[: args[0] % len(data)])
+        at = args[0] % len(data)
+        if op == "cut":
+            data = data[:at]
+        elif op == "byte":
+            data = data[:at] + bytes([args[1]]) + data[at + 1 :]
+        else:
+            data = data[:at] + args[1] + data[at:]
+        bad.write_bytes(data)
         return
     with np.load(path) as data:
         cols = dict(data)
@@ -776,3 +813,38 @@ def test_damaged_graph_cache_exits_0_or_2_with_one_line(graph_cache, damage):
         assert err.count("\n") == 1
     else:
         assert out.startswith("rank,")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weighted=st.booleans(), damage=_TEXT_DAMAGE)
+def test_damaged_edge_list_exits_0_or_2_with_one_line(sketch_files, weighted, damage):
+    bad = sketch_files / "bad.txt"
+    _write_damaged(sketch_files / ("weighted.txt" if weighted else "edges.txt"), bad, damage)
+    rc, out, err = _run_captured(["greedy", "exact", "--edges", str(bad), *(["--weighted"] if weighted else []),
+                                  "--model", "exp:1", "--ell", "2", "--seed", "1", "--decay", "harmonic:1",
+                                  "--seeds", "2"])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.count("\n") == 1
+    else:
+        assert out.startswith("rank,")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sk.bin", "tsk.bin", "eval"]), damage=_TEXT_DAMAGE)
+def test_damaged_seeds_file_exits_0_or_2_with_one_line(sketch_files, command, damage):
+    bad = sketch_files / "bad-seeds.txt"
+    _write_damaged(sketch_files / "seeds.txt", bad, damage)
+    if command == "eval":
+        argv = ["eval", "--edges", str(sketch_files / "edges.txt"), "--m", "2", "--decay", "harmonic:1"]
+    else:
+        decay = "threshold:1.5" if command == "tsk.bin" else "harmonic:1"
+        argv = ["oracle", "query", "--sketches", str(sketch_files / command), "--decay", decay]
+    rc, out, err = _run_captured([*argv, "--seeds-file", str(bad)])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.count("\n") == 1
+    elif command == "eval":
+        assert out.startswith("prefix,")
+    else:
+        assert math.isfinite(float(out))

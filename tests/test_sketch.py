@@ -25,9 +25,11 @@ from distinf import (
     threshold_influence_estimate,
 )
 
+from distinf import sketch
 from distinf.sketch import (
     UNIFORM_DOMAIN,
     RankAssignment,
+    _filter_slice,
     _fold_k_smallest,
     _instance_groups,
     _search_blocks,
@@ -237,6 +239,43 @@ def test_sketch_search_is_the_same_in_any_instance_grouping(monkeypatch, tmp_pat
         for cols, file, threshold in runs[1:]:
             assert all(np.array_equal(a, b) for col, want in zip(cols, runs[0][0]) for a, b in zip(col, want))
             assert file == runs[0][1] and threshold == runs[0][2]
+
+
+def per_node_merge(g, ranks, k):
+    """Each node's combined sketch as `merge_cads` over its candidates from every instance."""
+    parts = [[] for _ in range(g.n)]
+    for i, (owner, node, dist) in enumerate(search_columns(g, range(g.ell), ranks, k)):
+        for v in range(g.n):
+            mine = owner == v
+            parts[v].append(CADS(ranks.rank[node[mine], i], dist[mine], node[mine], np.full(mine.sum(), i), k,
+                                 g.n, g.ell, ranks.norm))
+    return [merge_cads(p, k) for p in parts]
+
+
+@pytest.mark.parametrize("block_cells", [graph._BLOCK_CELLS, 1 << 5, 12 << 5], ids=["default", "one-owner", "12-cands"])
+def test_build_cads_filters_like_merge_cads_per_node(monkeypatch, block_cells):
+    # build_cads filters every node's candidates at once.  Uniform ranks with k < ell cut
+    # distance-0 entries, and every graph has runs of equal distance (each node's distance-0
+    # entries; many more on the tied graph).  The filter takes owner slices of
+    # _BLOCK_CELLS >> 5 candidates: a block of 32 cells gives one owner per slice, one of
+    # 12 << 5 cells about 12 candidates, and the cap of 8 times that many cells per window
+    # halves windows, down to one entry.
+    owners = []  # per slice of the patched builds
+    for seed in range(2 if block_cells == graph._BLOCK_CELLS else 1):
+        rand = random_graph(40, 3, seed, ell=4)
+        for g in (rand, skewed_graph(40, 4, seed, 4), absorbing_graph(seed, ell=4), *gapped_and_tied(rand, seed)):
+            for k, model in itertools.product((1, 2, 4, 16), ("permutation", "uniform")):
+                monkeypatch.setattr(graph, "_BLOCK_CELLS", block_cells)
+                monkeypatch.setattr(sketch, "_filter_slice", lambda count, *a: owners.append(count.size) or
+                                    _filter_slice(count, *a))
+                built, ranks = build_cads(g, k, seed, rank_model=model)
+                monkeypatch.undo()
+                want = per_node_merge(g, ranks, k)
+                assert [sk.entries for sk in built] == [sk.entries for sk in want]
+    if block_cells == 1 << 5:
+        assert set(owners) == {1}
+    elif block_cells == 12 << 5:
+        assert len(owners) > 20 * 40 and max(owners) > 1  # over 20 slices per build, some with several owners
 
 
 # ------------------------------------------------------------- merging
