@@ -196,8 +196,8 @@ def lazy_greedy(g: MultiInstanceGraph, alpha: DecayFunction, s_max: int) -> Gree
     singleton pass) and the number of stale candidates re-evaluated
     (`candidates_scored`).
     """
-    if s_max > g.n:
-        raise ValueError("s_max exceeds node count")
+    if not 0 <= s_max <= g.n:
+        raise ValueError(f"seed count must be in [0, {g.n}], got {s_max}")
     residual = ResidualState(g)
     trace = GreedyTrace()
     scored = 0

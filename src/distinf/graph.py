@@ -6,17 +6,15 @@ come straight from an edge list or are sampled from a probabilistic
 edge-length model; an instance without an edge gives it infinite length.
 Besides its edge list and (ell, m) length matrix, a graph keeps what it
 computes on first use: a forward CSR over all instances for the batched
-distance kernel, a reverse one for the batched reverse balls and
-`DijkstraCursor`, and the median of its finite lengths, which sets the
-kernel's bucket width.  All graph values are immutable once built and safe
-to share across threads; the pausable `DijkstraCursor` is the only mutable
-search state and is single-owner.
+distance kernel, a reverse one for the batched reverse balls, and the
+median of its finite lengths, which sets the kernel's bucket width.  All
+graph values are immutable once built and safe to share across threads;
+every search keeps its state in arrays local to one call.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import sys
 import zipfile
@@ -295,61 +293,6 @@ def load_npz(path: str) -> MultiInstanceGraph:
     return MultiInstanceGraph(int(a["n"]), a["tails"], a["heads"], a["weights"], a["labels"].tolist())
 
 
-class DijkstraCursor:
-    """Pausable reverse Dijkstra from one node-instance pair.
-
-    Reads the pair's instance in the graph's reverse CSR, so settled
-    distances are distances *to* the source in the original graph.  `mu` is
-    the smallest unsettled tentative distance (0 initially, inf once
-    exhausted, when `peek` returns None); a search pauses between
-    `settle_next` calls.  It never pushes a node at infinite distance, so it
-    settles exactly the nodes that reach the source.
-    """
-
-    __slots__ = ("_indptr", "_tails", "_weights", "_base", "_dist", "_heap")
-
-    def __init__(self, g: MultiInstanceGraph, instance: int, source: int):
-        if not 0 <= instance < g.ell:
-            raise ValueError(f"instance {instance} out of range [0, {g.ell})")
-        if not (0 <= source < g.n):
-            raise ValueError(f"source {source} out of range")
-        # memoryviews: their items and slices read as Python ints and floats
-        self._indptr, self._tails, self._weights = map(memoryview, g.reverse_csr())
-        self._base = instance * g.n
-        self._dist: dict[int, float] = {}
-        self._heap: list[tuple[float, int]] = [(0.0, source)]
-
-    def peek(self) -> float | None:
-        """Next settle distance, or None when the search is exhausted."""
-        heap, dist = self._heap, self._dist
-        while heap and heap[0][1] in dist:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    @property
-    def mu(self) -> float:
-        d = self.peek()
-        return INF if d is None else d
-
-    def settle_next(self) -> tuple[int, float]:
-        """Settle and return the next node; relaxes its transpose out-edges."""
-        d = self.peek()
-        if d is None:
-            raise RuntimeError("cursor exhausted")
-        _, u = heapq.heappop(self._heap)
-        dist = self._dist
-        dist[u] = d
-        push, heap = heapq.heappush, self._heap
-        key = self._base + u
-        lo, hi = self._indptr[key], self._indptr[key + 1]
-        for v, w in zip(self._tails[lo:hi], self._weights[lo:hi]):
-            if v not in dist:
-                dv = d + w
-                if dv < INF:
-                    push(heap, (dv, v))
-        return u, d
-
-
 # Memory bounds of the batched distance kernel: a block of rows holds at most
 # _BLOCK_CELLS distances (its int32 stamps stay valid), and one relaxation
 # chunk scans at most _CHUNK_RELAX edges plus one cell's out-edges, a few
@@ -514,11 +457,11 @@ def reverse_balls(
 
     Row r is the reverse ball of sources[r] in instances[r]: the nodes whose
     distance *to* the source is at most limit, read from the reverse CSR.
-    The limit is one float or an (ell, n) array of per-node bounds, read at
-    each row's instance: no search enters a node beyond its own bound (a
-    source holds itself at 0), so a distance is the shortest over paths that
-    stay within every bound.  Rows do not interact, so a row's ball is the
-    same whichever rows share the call.
+    The limit is one float, a (rows,) array of per-row bounds, or an (ell, n)
+    array of per-node bounds, read at each row's instance: no search enters
+    a node beyond its own bound (a source holds itself at 0), so a distance
+    is the shortest over paths that stay within every bound.  Rows do not
+    interact, so a row's ball is the same whichever rows share the call.
     The search keeps its distances in one dense float64 table over a block
     of rows: at most block_rows(n) rows of n cells, one _BLOCK_CELLS, which
     bounds its memory besides the balls it returns.  The rows of a larger
@@ -529,10 +472,11 @@ def reverse_balls(
     sort, to the table.  A block's reached cells leave in (row, dist, node)
     order, sorted by one int64 key.  As in
     `distance_rows`, lengths are positive, so distances are bit for bit a
-    reverse `DijkstraCursor`'s, and (dist, node) is the order in which it
-    settles them, unless a length is absorbed (d + w == d) and the absorbed
-    node has the smaller id.  A round expands at most about _BLOCK_CELLS
-    edges at a time.
+    reverse Dijkstra search's, and (dist, node) is the order in which one
+    that breaks ties by node settles them, unless a length is absorbed
+    (d + w == d) and the absorbed node has the smaller id: Dijkstra reaches
+    it only after the node it is absorbed from.  A round expands at most
+    about _BLOCK_CELLS edges at a time.
     """
     _check_limit(limit)
     n = g.n
@@ -540,9 +484,10 @@ def reverse_balls(
     if src.ndim != 1:
         raise ValueError("reverse balls take one source per row")
     limit = np.minimum(limit, sys.float_info.max)  # never reach a node at infinite distance
-    if limit.ndim:
-        if limit.shape != (g.ell, n):
-            raise ValueError(f"need one limit or one per (instance, node), got shape {limit.shape}")
+    if limit.shape not in ((), (src.size,), (g.ell, n)):
+        raise ValueError(f"need one limit or one per row or per (instance, node), got shape {limit.shape}")
+    per_row, per_node = limit.ndim == 1, limit.ndim == 2
+    if per_node:
         limit = limit.ravel()  # the bound of (instance, node) is limit[instance * n + node]
     indptr, tails, weights = g.reverse_csr()
     step = block_rows(n)
@@ -558,7 +503,7 @@ def reverse_balls(
         cand = base[p] + weights[edge]
         tail = tails[edge]
         tgt = row_cell[p] + tail
-        keep = cand <= (limit[base_csr[p] + tail] if limit.ndim else limit)
+        keep = cand <= (limit[base_csr[p] + tail] if per_node else row_limit[p] if per_row else limit)
         del p, edge, tail  # about 1 MB less peak RSS on the benchmark's oracle build
         keep &= cand < table[tgt]
         tgt, cand = tgt[keep], cand[keep]
@@ -582,6 +527,7 @@ def reverse_balls(
             row, node = np.divmod(front, n)
             row_cell = front - node  # the table cell of each front cell's row at node 0
             base_csr = first_csr[row]
+            row_limit = limit[row + lo] if per_row else None
             csr = base_csr + node
             first = indptr[csr]
             deg = indptr[csr + 1] - first
@@ -604,6 +550,25 @@ def reverse_balls(
         row, rank = np.divmod(key, level.size)
         parts.append((row + lo, node, level[rank]))
     return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def past_balls(
+    g: MultiInstanceGraph, instances: np.ndarray, row: np.ndarray, node: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """Per row of a `reverse_balls` result over (rows,) instances, the least
+    dist + w over the in-edges that enter its ball from outside, inf if none:
+    the distance at which a Dijkstra search that has settled just the ball
+    settles its next node."""
+    indptr, tails, weights = g.reverse_csr()
+    csr = instances[row] * g.n + node
+    first = indptr[csr]
+    deg = indptr[csr + 1] - first
+    p = np.arange(row.size).repeat(deg)
+    edge = (first - deg.cumsum() + deg)[p] + np.arange(p.size)  # expansion j of entry p scans edge j + shift[p]
+    out = ~np.isin(row[p] * g.n + tails[edge], row * g.n + node)  # the in-edges from outside the ball
+    least = np.full(len(instances), INF)
+    np.minimum.at(least, row[p[out]], dist[p[out]] + weights[edge[out]])
+    return least
 
 
 def residual_update(

@@ -14,11 +14,12 @@ tau decreases geometrically until the best estimate clears the k * tau
 confidence gate; committing a seed runs one batched forward search whose
 improved residual distances demote or trim index entries and lower pair
 priorities.
-Reverse Dijkstras pause when the next contribution falls under r * tau and
+Reverse searches pause when the next contribution falls under r * tau and
 resume when tau has dropped enough; a pair whose next contribution cannot be
-positive is terminated for good.  A pair's first scan is its own node at
-distance 0 and its second is at its shortest in-edge, so its `DijkstraCursor`
-is built only when it scans past its own node; most pairs never do.
+positive is terminated for good.  A paused pair keeps only its next scan
+distance.  `resume_sampling` searches every due pair from its source with
+one `graph.reverse_balls` call, bounded where its pause rule must stop at the
+fixed tau, and each pair replays its ball past the nodes it has scanned.
 
 The loops touch one cell at a time, so the per-cell state (estimates, pair
 priorities, cached alpha(delta), ranks, seed flags) is kept in Python lists:
@@ -37,21 +38,32 @@ import numpy as np
 
 from .decay import DecayFunction
 from .exact import GreedyTrace, _gain_sums
-from .graph import DijkstraCursor, MultiInstanceGraph, residual_update
+from .graph import MultiInstanceGraph, past_balls, residual_update, reverse_balls
 from .sketch import structured_ranks
 
 INF = math.inf
 
 Pair = tuple[int, int]  # (node, instance)
 
+_SLACK, _TINY = 2.0**-40, 2.0**-1000  # relative and absolute slack of the scan limits
 
-def _shortest_in_edges(g: MultiInstanceGraph) -> list[list[float]]:
-    """Per instance, every node's shortest in-edge length, self-loops
-    ignored; inf for a node with none."""
-    out = np.full((g.ell, g.n), INF)
-    keep = g.tails != g.heads
-    np.minimum.at(out, (slice(None), g.heads[keep]), g.weights[:, keep])
-    return out.tolist()
+
+def _scan_limits(alpha: DecayFunction, ad: np.ndarray, r: np.ndarray, tau: float) -> np.ndarray:
+    """Per pair, a distance at least every d its pause rule admits at tau,
+    alpha(d) - ad > 0 and (alpha(d) - ad) / r >= tau: the largest float64,
+    inf included, at which `alpha.eval_array` raised by the slack clears the
+    rule.  The slack covers the ulp by which scalar `fn` may differ and the
+    rule's two roundings; it only costs ball entries.  Bisects bit patterns,
+    which order non-negative floats as int64s do; 0 counts as admitted."""
+    floor = ad + r * tau
+    lo, hi = np.zeros(floor.size, np.int64), np.full(floor.size, INF).view(np.int64) + 1  # hi: past inf
+    while np.any(hi - lo > 1):
+        mid = lo + ((hi - lo) >> 1)  # lo + hi overflows int64 near inf's bit pattern
+        with np.errstate(over="ignore"):  # rate * d may overflow near the float maximum; the decay is 0 there
+            value = alpha.eval_array(mid.view(np.float64)) * (1.0 + _SLACK) + _TINY
+        ok = (value >= floor) & (value > ad)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo.view(np.float64)
 
 
 class PPSState:
@@ -63,8 +75,8 @@ class PPSState:
     of H plus M entries, so positions < hm are H, positions in [hm, ml) are M,
     and positions >= ml are L.  Entries with non-positive contribution are
     trimmed and never return.  A pair has an index list once it has scanned
-    its own node, and a cursor once it has scanned a second one.  Per-cell
-    state is indexed [instance][node].
+    its own node, and `next_dist` holds the distance of a live pair's next
+    scan.  Per-cell state is indexed [instance][node].
     """
 
     def __init__(
@@ -97,11 +109,10 @@ class PPSState:
         self.alpha_delta = [[0.0] * n for _ in range(ell)]  # alpha(delta), cached
         self.est_h = [0.0] * n
         self.est_m = [0] * n
-        self.in_edge = _shortest_in_edges(g)
+        self.next_dist = [[0.0] * n for _ in range(ell)]
         self.index: dict[Pair, list[tuple[int, float, float]]] = {}
         self.hm: dict[Pair, int] = {}
         self.ml: dict[Pair, int] = {}
-        self.cursors: dict[Pair, DijkstraCursor] = {}
         a0 = alpha.alpha0
         self.tau = tau0 if tau0 is not None else a0 * n * ell / (2 * k)
         if not self.tau > 0:
@@ -125,7 +136,9 @@ class PPSState:
         # run metrics
         self.tau_schedule: list[float] = [self.tau]
         self.delta_update_count = 0
-        self.cursor_scans = 0
+        self.cursor_scans = 0  # nodes scanned, under the name perfbench reads
+        self.pairs_searched = 0
+        self.ball_entries = 0
 
     # ------------------------------------------------------------------ #
     # estimates and candidate queue
@@ -204,76 +217,73 @@ class PPSState:
 
     def next_scan(self, v: int, i: int) -> float:
         """Distance at which live pair (v, i) scans its next node: 0 before it
-        scans its own node, then its shortest in-edge until it has a cursor,
-        then the cursor's; inf when nothing is left to scan."""
-        cursor = self.cursors.get((v, i))
-        if cursor is not None:
-            return cursor.mu
-        return self.in_edge[i][v] if (v, i) in self.index else 0.0
-
-    def _resume_pair(self, v: int, i: int) -> None:
-        """Run the pair's reverse Dijkstra until the pause rule holds again."""
-        pair = (v, i)
-        tau = self.tau
-        fn = self.alpha.fn
-        r = self.rank_norm[i][v]
-        ad = self.alpha_delta[i][v]
-        prio = self.pair_prio[i]
-        lst = self.index.get(pair)
-        est_h, est_m = self.est_h, self.est_m
-        while True:
-            a_d = fn(self.next_scan(v, i))  # the decay at the distance of the scan below
-            c = a_d - ad
-            if c <= 0:
-                prio[v] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
-                self.cursors.pop(pair, None)
-                return
-            p = c / r
-            if p < tau:
-                prio[v] = p  # pause
-                heapq.heappush(self.q_pairs, (-p, v, i))
-                return
-            if lst is None:  # the pair's own node, at distance 0
-                u, d = v, 0.0
-                lst = self.index[pair] = []
-                self.hm[pair] = self.ml[pair] = 0
-            else:
-                cursor = self.cursors.get(pair)
-                if cursor is None:
-                    cursor = self.cursors[pair] = DijkstraCursor(self.g, i, v)
-                    cursor.settle_next()  # replay the source; its scan is in the index
-                u, d = cursor.settle_next()
-            self.cursor_scans += 1
-            lst.append((u, d, a_d))
-            if c >= tau:
-                est_h[u] += c
-                self.hm[pair] += 1
-                self.ml[pair] += 1
-            else:
-                est_m[u] += 1
-                first_m = self.ml[pair] == self.hm[pair] == len(lst) - 1
-                self.ml[pair] += 1
-                if first_m:
-                    self._update_reclass(pair)
-            self._touch_candidate(u)
+        scans its own node; inf when nothing is left to scan."""
+        return self.next_dist[i][v]
 
     def resume_sampling(self) -> None:
-        """Resume every paused reverse Dijkstra whose priority has reached tau."""
-        tau = self.tau
-        prio = self.pair_prio
-        while self.q_pairs:
-            negp, v, i = self.q_pairs[0]
-            p = -negp
+        """Resume every paused reverse search whose priority has reached tau.
+
+        The due pairs leave the queue first, in its order and each once:
+        resuming one pair changes no other pair's priority.  One
+        `reverse_balls` call then searches all of them from their sources,
+        each within its `_scan_limits` bound.  In the same order, each pair
+        scans its ball past the entries already in its index until the pause
+        rule holds again, at a ball entry or at the distance past the ball."""
+        tau, fn, prio = self.tau, self.alpha.fn, self.pair_prio
+        est_h, est_m, hm, ml = self.est_h, self.est_m, self.hm, self.ml
+        due: list[Pair] = []
+        while self.q_pairs and -self.q_pairs[0][0] >= tau:  # stored priorities are upper bounds
+            negp, v, i = heapq.heappop(self.q_pairs)
             cur = prio[i][v]
-            if p != cur:
-                heapq.heappop(self.q_pairs)  # stale entry
-                if cur > 0:
-                    heapq.heappush(self.q_pairs, (-cur, v, i))
-                continue
-            if p < tau:
-                break
-            heapq.heappop(self.q_pairs)
-            self._resume_pair(v, i)
+            if cur == -negp:
+                prio[i][v] = -INF  # taken: another entry of the pair is now stale; the replay sets it
+                due.append((v, i))
+            elif cur > 0:  # stale entry
+                heapq.heappush(self.q_pairs, (-cur, v, i))
+        if not due:
+            return
+        src, inst = (np.array(c) for c in zip(*due))
+        ad, r = (np.array([cells[i][v] for v, i in due]) for cells in (self.alpha_delta, self.rank_norm))
+        row, node, dist = reverse_balls(self.g, inst, src, _scan_limits(self.alpha, ad, r, tau))
+        past = past_balls(self.g, inst, row, node, dist).tolist()
+        start = np.searchsorted(row, np.arange(len(due) + 1)).tolist()
+        self.pairs_searched += len(due)
+        self.ball_entries += node.size
+        node, dist = node.tolist(), dist.tolist()
+        for j, pair in enumerate(due):
+            v, i = pair
+            ad, r, lst = self.alpha_delta[i][v], self.rank_norm[i][v], self.index.get(pair)
+            a, b = start[j] + len(lst or ()), start[j + 1]
+            for u, d in zip([*node[a:b], None], [*dist[a:b], past[j]]):
+                a_d = fn(d)
+                c = a_d - ad
+                if c <= 0:
+                    prio[i][v] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
+                    break
+                p = c / r
+                if p < tau:
+                    prio[i][v] = p  # pause
+                    self.next_dist[i][v] = d
+                    heapq.heappush(self.q_pairs, (-p, v, i))
+                    break
+                if u is None:
+                    raise RuntimeError(f"the scan limit of pair {pair} cut off a distance its pause rule admits")
+                if lst is None:  # the pair's own node, at distance 0
+                    lst = self.index[pair] = []
+                    hm[pair] = ml[pair] = 0
+                self.cursor_scans += 1
+                lst.append((u, d, a_d))
+                if c >= tau:
+                    est_h[u] += c
+                    hm[pair] += 1
+                    ml[pair] += 1
+                else:
+                    est_m[u] += 1
+                    first_m = ml[pair] == hm[pair] == len(lst) - 1
+                    ml[pair] += 1
+                    if first_m:
+                        self._update_reclass(pair)
+                self._touch_candidate(u)
 
     def lower_tau(self) -> None:
         """One threshold step: scale tau down, promote entries, extend samples."""
@@ -369,7 +379,6 @@ class PPSState:
                 new_p = (fn(self.next_scan(v, i)) - a_d) / self.rank_norm[i][v]
                 if new_p <= 0:
                     prio[i][v] = -INF  # terminated for good
-                    self.cursors.pop((v, i), None)
                 else:
                     prio[i][v] = new_p  # lazy: heap fixed up on pop
             lst = index.get((v, i))
@@ -405,6 +414,8 @@ def run_pps_im(
     s_max seeds are chosen or coverage is full (n * alpha(0) per instance).
     `eps` switches on adaptive selection.
     """
+    if s_max is not None and s_max < 0:
+        raise ValueError(f"seed count must be non-negative, got {s_max}")
     state = PPSState(g, alpha, k, lam=lam, tau0=tau0, seed=seed, eps=eps)
     full = g.n * g.ell * alpha.alpha0
     limit = min(s_max, g.n) if s_max is not None else g.n
@@ -419,6 +430,8 @@ def run_pps_im(
         delta_updates_total=state.delta_update_count,
         delta_updates_per_pair=state.delta_update_count / (g.n * g.ell),
         cursor_scans=state.cursor_scans,
+        pairs_searched=state.pairs_searched,
+        ball_entries=state.ball_entries,
         er=state.er / g.ell,
     )
     return trace

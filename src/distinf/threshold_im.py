@@ -21,7 +21,7 @@ import numpy as np
 
 from .exact import GreedyTrace
 from .graph import MultiInstanceGraph, block_rows, residual_update, reverse_balls
-from .sketch import RankAssignment, structured_ranks
+from .sketch import RankAssignment, _stable_order, structured_ranks
 
 INF = math.inf
 
@@ -107,7 +107,7 @@ class ThresholdState:
             scan = self._ball[idx]
             # count of each entry's node after its increment: its count now
             # plus its occurrences in the scan so far
-            order = np.argsort(scan, kind="stable")
+            order = _stable_order(scan, n)
             _, head, size = np.unique(scan[order], return_index=True, return_counts=True)
             occ = np.empty_like(scan)
             occ[order] = np.arange(1, scan.size + 1) - np.repeat(head, size)
@@ -154,8 +154,8 @@ def run_threshold_im(
     size (`ball_entries`), including those of pairs covered before their
     turn.
     """
-    if s_max > g.n:
-        raise ValueError("s_max exceeds node count")
+    if not 0 <= s_max <= g.n:
+        raise ValueError(f"seed count must be in [0, {g.n}], got {s_max}")
     state = ThresholdState(g, T, k, seed)
     trace = GreedyTrace()
     total_pairs = g.n * g.ell

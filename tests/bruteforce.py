@@ -105,10 +105,12 @@ def greedy_bf(g, alpha, s_max):
 
 
 def reverse_ball_bf(g, i, v, T):
-    """Nodes within T of v in instance i, in (distance, node) order, by
-    Bellman-Ford on the reversed edges."""
+    """(node, distance) of the nodes within T of v in instance i, by
+    Bellman-Ford on the reversed edges, in the order a Dijkstra search that
+    breaks distance ties by node settles them: (distance, node), unless a
+    length is absorbed (d + w == d)."""
     dist = bf_distances([(h, t, w) for t, h, w in instance_edges(g, i)], g.n, [v])
-    return [u for d, u in sorted((d, u) for u, d in enumerate(dist) if d <= T)]
+    return [(u, d) for d, u in sorted((d, u) for u, d in enumerate(dist) if d <= T and d < INF)]
 
 
 def tskim_bf(g, ranks, T, k, s_max):
@@ -137,7 +139,7 @@ def tskim_bf(g, ranks, T, k, s_max):
                 continue
             ball = reverse_ball_bf(g, i, v, T)
             balls.append(len(ball))
-            for u in ball:
+            for u, _ in ball:
                 if (v, i) in covered:
                     break
                 yield r, v, i, u
@@ -367,7 +369,8 @@ def rescan_pps_state(state):
 def check_pps_state(state):
     """Full-rescan consistency: incremental state must match a from-scratch
     reclassification, and the stored priority of every live pair (never
-    started, started without a cursor, or with one) must stay an upper bound."""
+    started, or paused at its stored next scan distance) must stay an upper
+    bound."""
     est_h, est_m, hm, ml = rescan_pps_state(state)
     assert hm == state.hm
     assert ml == state.ml

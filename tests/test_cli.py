@@ -497,7 +497,8 @@ def test_bench_oracle_build(edges_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, counters",
     [(["im", "threshold", "--T", "1.0", "--k", "8"], ["pairs_searched", "ball_entries", "pairs_covered"]),
-     (["im", "alpha", "--decay", "exp:10", "--k", "8"], ["tau_schedule", "cursor_scans", "delta_updates_total"]),
+     (["im", "alpha", "--decay", "exp:10", "--k", "8"],
+      ["tau_schedule", "cursor_scans", "delta_updates_total", "pairs_searched", "ball_entries"]),
      (["greedy", "exact", "--decay", "exp:1"], ["candidates_scored"])],
     ids=["tskim", "askim", "greedy"],
 )
@@ -507,6 +508,15 @@ def test_metrics_report_one_schema(edges_file, tmp_path, argv, counters):
     assert rep["load_sec"] > 0 and rep["run_sec"] > 0
     assert rows == 4 and len(rep["per_seed_sec"]) == rows
     assert all(name in rep for name in counters)
+
+
+@pytest.mark.parametrize("argv", [["im", "alpha", "--decay", "exp:10", "--k", "8"], ["im", "threshold", "--T", "1.0", "--k", "8"],
+                                  ["greedy", "exact", "--decay", "exp:1"]], ids=["askim", "tskim", "greedy"])
+def test_negative_seed_count_exits_2(edges_file, capsys, argv):
+    # each used to print the CSV header alone and exit 0
+    rc = main([*argv, "--edges", edges_file, "--ell", "2", "--seeds", "-2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and "seed count" in captured.err and captured.err.count("\n") == 1 and not captured.out
 
 
 def test_bench_subcommand_is_gone(edges_file, capsys):

@@ -19,7 +19,6 @@ from distinf import (
     sample_instances,
     save_npz,
 )
-from distinf.graph import DijkstraCursor
 
 from bruteforce import (
     absorbing_graph,
@@ -372,28 +371,18 @@ def test_distance_rows_instances_with_own_topologies():
 
 
 def test_cursor_skips_edges_an_instance_lacks():
-    # a node reachable only through edges the instance lacks is never
-    # settled or in a reverse ball, whatever the limit, and mu is inf once
-    # the search is done
+    # a node reachable only through edges the instance lacks is in no
+    # reverse ball, whatever the limit, and nothing lies past a whole ball
     g, own = own_topologies_graph()
     for i, edges in enumerate(own):
         reverse = [(h, t, w) for t, h, w in edges]
         refs = [bf_distances(reverse, g.n, [src]) for src in range(g.n)]
-        for src, ref in enumerate(refs):
-            cur = DijkstraCursor(g, i, src)
-            assert sorted(settle_until(cur)) == [(v, d) for v, d in enumerate(ref) if d < INF]
-            assert cur.mu == INF
         for limit in (INF, 1.0):
             row, node, dist = graph.reverse_balls(g, i, range(g.n), limit)
             got = sorted(zip(row.tolist(), node.tolist(), dist.tolist()))
             assert got == [(s, v, d) for s, ref in enumerate(refs) for v, d in enumerate(ref) if d <= limit and d < INF]
-
-
-def test_instance_out_of_range_is_rejected():
-    g = random_graph(10, 2, seed=0, ell=2)
-    for bad in (-1, g.ell):
-        with pytest.raises(ValueError, match="out of range"):
-            DijkstraCursor(g, bad, 0)
+            past = graph.past_balls(g, np.full(g.n, i), row, node, dist)
+            assert past.tolist() == [min((d for d in ref if limit < d < INF), default=INF) for ref in refs]
 
 
 def test_algorithms_leave_only_arrays_on_the_graph():
@@ -417,14 +406,6 @@ def test_algorithms_leave_only_arrays_on_the_graph():
     assert len(arrays) == 3 + 2 * 3
 
 
-def settle_until(cur, stop=None):
-    """Settle until stop(next distance) holds or the search is exhausted."""
-    settled = []
-    while (d := cur.peek()) is not None and not (stop and stop(d)):
-        settled.append(cur.settle_next())
-    return settled
-
-
 def ball_rows(g, instances, sources, limit):
     """reverse_balls as one list of (node, dist) pairs per row."""
     row, node, dist = graph.reverse_balls(g, instances, sources, limit)
@@ -433,8 +414,8 @@ def ball_rows(g, instances, sources, limit):
 
 
 def test_reverse_balls_are_cursor_settles_within_limit():
-    # without absorbed lengths, a ball is the cursor's settle sequence cut
-    # at the limit, in the same order, also among tied distances
+    # without absorbed lengths, a ball is a Dijkstra search's settle
+    # sequence cut at the limit, in the same order, also among tied distances
     for seed in range(4):
         for g in (random_graph(40, 3, seed=seed, ell=2), skewed_graph(40, 3, seed, 2),
                   random_graph(40, 2, seed=seed, model=EdgeLengthModel.unit())):
@@ -442,19 +423,61 @@ def test_reverse_balls_are_cursor_settles_within_limit():
             instances = [s % g.ell for s in sources]
             for limit in (0.5, 1.0, 2.0, INF):
                 for i, s, ball in zip(instances, sources, ball_rows(g, instances, sources, limit)):
-                    assert ball == [(u, d) for u, d in settle_until(DijkstraCursor(g, i, s)) if d <= limit]
+                    assert ball == reverse_ball_bf(g, i, s, limit)
 
 
 def test_reverse_balls_order_absorbed_lengths_by_node():
-    # where d + w == d, a ball keeps (distance, node) order, which the
-    # cursor's heap order does not: it reaches the absorbed node later
+    # where d + w == d, a ball keeps (distance, node) order, although a
+    # Dijkstra search reaches the absorbed node z only after the node x it
+    # is absorbed from: z lists first, at x's distance
     g = absorbing_graph(0)
-    differs = 0
+    absorbed = 0
     for i in range(g.ell):
+        edges = instance_edges(g, i)
         for s, ball in enumerate(ball_rows(g, i, range(g.n), 1.0)):
-            assert [u for u, _ in ball] == reverse_ball_bf(g, i, s, 1.0)
-            differs += ball != [(u, d) for u, d in settle_until(DijkstraCursor(g, i, s)) if d <= 1.0]
-    assert differs > 0
+            assert ball == reverse_ball_bf(g, i, s, 1.0)
+            dist = dict(ball)
+            absorbed += sum(z < x and x in dist and dist.get(z) == dist[x] == dist[x] + w for z, x, w in edges)
+    assert absorbed > 0
+
+
+def test_reverse_balls_with_per_row_limits():
+    # two rows of one (instance, source) with different limits, limits of 0
+    # and inf, absorbed lengths, missing edges and tied distances
+    rng = np.random.default_rng(11)
+    for g in (random_graph(30, 3, seed=3, ell=2), absorbing_graph(3), *gapped_and_tied(skewed_graph(30, 3, 5, 2), 5)):
+        instances, sources = rng.integers(0, g.ell, 40), rng.integers(0, g.n, 40)
+        instances[1], sources[1] = instances[0], sources[0]
+        limit = rng.exponential(1.0, 40)
+        limit[:4] = (0.5, 2.0, 0.0, INF)
+        want = [reverse_ball_bf(g, i, s, x) for i, s, x in zip(instances, sources, limit)]
+        assert ball_rows(g, instances, sources, limit) == want
+        assert want[0] != want[1] and want[2] == [(sources[2], 0.0)]
+    with pytest.raises(ValueError, match="one limit or one per"):
+        graph.reverse_balls(g, 0, [2, 3], np.ones(3))  # neither one per row nor per (instance, node)
+
+
+def past_bf(g, i, s, limit):
+    """The least distance to s in instance i beyond limit, inf if none."""
+    return min((d for _, d in reverse_ball_bf(g, i, s, INF) if d > limit), default=INF)
+
+
+def test_past_balls_is_the_next_distance():
+    # self-loops, parallel edges, nodes without in-edges, and in-edges from
+    # inside the ball: 0 -> 2 of length 5 enters node 2 from node 0, which
+    # is in 2's ball within 2.5, so past it lies only node 3, at 12
+    hand = MultiInstanceGraph(5, [0, 1, 0, 3, 1, 2, 2], [1, 2, 2, 0, 1, 2, 2], [[1.0, 1.0, 5.0, 10.0, 0.5, 0.5, 3.0]])
+    row, node, dist = graph.reverse_balls(hand, 0, [2], 2.5)
+    assert graph.past_balls(hand, np.zeros(1, np.int64), row, node, dist).tolist() == [12.0]
+    rng = np.random.default_rng(12)
+    for g in (hand, random_graph(30, 3, seed=4, ell=2), absorbing_graph(4), *gapped_and_tied(skewed_graph(30, 3, 6, 2), 6)):
+        instances, sources = rng.integers(0, g.ell, 40), rng.integers(0, g.n, 40)
+        limit = rng.exponential(1.0, 40)
+        limit[:3] = (0.0, INF, 2.5)
+        for bound in (limit, 1.0):
+            row, node, dist = graph.reverse_balls(g, instances, sources, bound)
+            past = graph.past_balls(g, instances, row, node, dist)
+            assert past.tolist() == [past_bf(g, i, s, x) for i, s, x in zip(instances, sources, np.broadcast_to(bound, 40))]
 
 
 def test_reverse_balls_with_per_node_limits():
@@ -507,54 +530,3 @@ def test_reverse_balls_blocks_and_validation(monkeypatch):
     for inst, src in ((0, [g.n]), (2, [0]), (-1, [0])):
         with pytest.raises(ValueError, match="out of range"):
             graph.reverse_balls(g, inst, src, 1.0)
-
-
-# ------------------------------------------------------------- cursor
-
-
-def test_reverse_cursor_full_run():
-    g = line_graph()
-    cur = DijkstraCursor(g, 0, 2)
-    assert cur.mu == 0.0
-    assert settle_until(cur) == [(2, 0.0), (1, 1.0), (0, 2.0)]
-    assert cur.peek() is None
-
-
-def test_reverse_cursor_pause_and_resume():
-    g = line_graph()
-    cur = DijkstraCursor(g, 0, 2)
-    first = settle_until(cur, stop=lambda d: d >= 1)
-    assert first == [(2, 0.0)]
-    assert cur.mu == 1.0
-    rest = settle_until(cur)
-    assert rest == [(1, 1.0), (0, 2.0)]
-
-
-def test_reverse_cursor_isolated_source():
-    g = line_graph()
-    cur = DijkstraCursor(g, 0, 0)  # nothing reaches a
-    assert settle_until(cur) == [(0, 0.0)]
-    assert cur.peek() is None
-
-
-def test_resuming_terminated_cursor_raises():
-    g = line_graph()
-    cur = DijkstraCursor(g, 0, 0)
-    settle_until(cur)
-    with pytest.raises(RuntimeError):
-        cur.settle_next()
-
-
-def test_pause_resume_equals_single_run():
-    rng = np.random.default_rng(0)
-    for seed in range(8):
-        g = random_graph(30, 3, seed=seed, ell=1)
-        src = int(rng.integers(30))
-        whole = settle_until(DijkstraCursor(g, 0, src))
-        cur = DijkstraCursor(g, 0, src)
-        cuts = sorted(rng.uniform(0, 4, size=3))
-        pieces = []
-        for c in cuts:
-            pieces.extend(settle_until(cur, stop=lambda d, c=c: d >= c))
-        pieces.extend(settle_until(cur))
-        assert pieces == whole

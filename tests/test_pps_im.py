@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from distinf import (
     run_pps_im,
     run_threshold_im,
 )
-from distinf.pps_im import PPSState
+from distinf.pps_im import PPSState, _scan_limits
 
 from bruteforce import bf_all_pairs, check_pps_state, pps_estimate_bf, random_graph, small_graphs
 
@@ -79,7 +80,7 @@ def test_tau_to_zero_recovers_exact_influence():
     state = PPSState(g, alpha, k=4, seed=1)
     for _ in range(60):
         state.lower_tau()
-    assert not state.cursors  # every reverse search ran to exhaustion
+    assert all(p == -INF for row in state.pair_prio for p in row)  # every reverse search ran to exhaustion
     assert sum(state.est_m) == 0 or state.tau < 1e-12
     got = [state.node_estimate(u) / g.ell for u in range(3)]
     want = [influence_exact(g, [u], alpha) for u in range(3)]
@@ -112,6 +113,38 @@ def test_sample_complete_at_every_pause():
                             )
                             assert pos is not None, (v, i, u)
                             assert pos < state.ml[(v, i)]
+
+
+@pytest.mark.parametrize("alpha", [make_threshold(2.0), make_exponential(2), make_harmonic(1)], ids=lambda a: a.name)
+def test_scan_limits_bound_the_pause_rule(alpha):
+    # the limit is at least every distance the rule admits, and for all but
+    # vanishing tau its decay value is within a relative 1e-9 of the rule's
+    # floor; bisecting with lo + hi would overflow int64 for any limit past
+    # the least normal float
+    ad, r = np.array([0.0, 0.0, 0.3, 0.6, 0.0]), np.array([0.5, 1e-3, 0.2, 1.0, 1.0])
+    for tau in (1.0, 0.1, 1e-6, 1e-300, 0.0):
+        for a, rr, limit in zip(ad, r, _scan_limits(alpha, ad, r, tau).tolist()):
+            def admits(d):
+                c = alpha.fn(d) - a
+                return c > 0 and c / rr >= tau
+            assert not any(admits(d) for d in (np.nextafter(limit, INF), 1e300, INF) if d > limit)
+            if tau >= 1e-6 and 0 < limit:
+                assert limit < INF and alpha.fn(limit) >= (a + rr * tau) * (1 - 1e-9)
+            if tau >= 1e-6 and alpha.name.startswith("threshold"):
+                assert limit == (2.0 if admits(2.0) else 0.0)
+
+
+def test_pair_queued_twice_resumes_once():
+    # a pair with two valid queue entries is searched and scanned once
+    g = random_graph(20, 3, seed=3, ell=2)
+    states = [PPSState(g, make_harmonic(1), k=4, seed=0) for _ in range(2)]
+    heapq.heappush(states[1].q_pairs, states[1].q_pairs[0])
+    for _ in range(6):
+        for state in states:
+            state.lower_tau()
+    a, b = states
+    assert a.index == b.index and a.est_h == b.est_h and a.pair_prio == b.pair_prio
+    assert (a.cursor_scans, a.pairs_searched, a.ball_entries) == (b.cursor_scans, b.pairs_searched, b.ball_entries)
 
 
 def test_pair_terminated_when_contribution_nonpositive():
@@ -191,8 +224,8 @@ def _check_scans(state, dists):
 @settings(max_examples=300, deadline=None)
 @given(pps_cases())
 def test_on_demand_searches_keep_state_sound(case):
-    # self-loops, parallel edges and nodes without in-edges: a pair scans its
-    # own node without a search and builds its cursor only for a second scan
+    # self-loops, parallel edges and nodes without in-edges: a resumed pair
+    # replays its ball past what it has scanned, and pauses at the next distance
     g, alpha, k, lam, tau0, seed, ops = case
     state = PPSState(g, alpha, k=k, lam=lam, tau0=tau0, seed=seed)
     dists = bf_all_pairs(g)
@@ -205,8 +238,6 @@ def test_on_demand_searches_keep_state_sound(case):
             state.commit_seed(x % g.n)
         check_pps_state(state)
         _check_scans(state, dists)
-        for pair in state.cursors:
-            assert len(state.index[pair]) >= 2  # a cursor only past the own node
 
 
 @pytest.mark.parametrize("eps", [-0.5, 0.0, 1.0, 1.5, math.nan])
@@ -268,6 +299,7 @@ def test_metrics_present():
     assert md["tau_schedule"][0] > md["tau_schedule"][-1]
     assert md["delta_updates_total"] >= 0
     assert md["cursor_scans"] > 0
+    assert md["ball_entries"] >= md["cursor_scans"] and md["pairs_searched"] > 0
     assert len(md["per_seed_sec"]) == len(trace)
 
 
@@ -279,8 +311,6 @@ def test_next_seed_gate():
 
 
 def test_next_seed_gate_arithmetic():
-    import heapq
-
     g = line_graph()
     state = PPSState(g, make_harmonic(1), k=64, seed=0)
     state.tau = 0.1
@@ -293,8 +323,6 @@ def test_next_seed_gate_arithmetic():
 
 
 def test_next_seed_adaptive_rejects_inflated_estimate():
-    import heapq
-
     g = line_graph()
     state = PPSState(g, make_harmonic(1), k=4, seed=0, eps=0.1)
     state.tau = 0.1
