@@ -6,7 +6,7 @@ pair, the best distance delta from the current seed set; influence in the
 residual problem equals marginal influence in the original one, which is what
 the greedy selection needs.
 
-Every distance here comes from the batched kernel `graph.distance_rows`:
+Every distance here comes from the batched kernel of `graph.distance_rows`:
 the singleton pass, `influence_exact` (rows started from the whole seed
 set), each seed commit (`add_seed`, via `residual_update`) and the lazy
 greedy's re-evaluations, which score a batch of stale candidates in one
@@ -25,7 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from .decay import DecayFunction
-from .graph import MultiInstanceGraph, distance_rows, residual_update, source_blocks
+from .graph import MultiInstanceGraph, _improve_rows, _lowered, distance_rows, residual_update, source_blocks
 
 INF = math.inf
 
@@ -145,8 +145,8 @@ def _gain_sums(g: MultiInstanceGraph, delta: np.ndarray, candidates, alpha: Deca
     gains = np.zeros(cands.size)
     for blk in source_blocks(g.n, src.size):
         old = delta[inst[blk.start:blk.stop]]
-        new = distance_rows(g, inst[blk.start:blk.stop], src[blk.start:blk.stop], alpha.support_bound, old)
-        row, node = np.nonzero(new < old)
+        new, fronts = _improve_rows(g, inst[blk.start:blk.stop], src[blk.start:blk.stop], alpha.support_bound, old)
+        row, node = np.divmod(_lowered(fronts), g.n)  # row-major: the sums add in a fixed order
         terms = alpha.eval_array(new[row, node]) - alpha.eval_array(old[row, node])
         gains += np.bincount((row + blk.start) // ell, weights=terms, minlength=cands.size)
     return gains

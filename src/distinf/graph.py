@@ -9,7 +9,7 @@ computes on first use: a forward CSR over all instances for the batched
 distance kernel, a reverse one for the batched reverse balls, and the
 median of its finite lengths, which sets the kernel's bucket width.  All
 graph values are immutable once built and safe to share across threads;
-every search keeps its state in arrays local to one call.
+a search keeps its state in arrays local to one call or lent by its caller.
 """
 
 from __future__ import annotations
@@ -328,21 +328,14 @@ def source_blocks(n: int, count: int | None = None) -> Iterator[range]:
 
 
 def distance_rows(
-    g: MultiInstanceGraph,
-    instances: int | Sequence[int],
-    sources: int | Sequence[int] | Sequence[Sequence[int]],
+    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int] | Sequence[Sequence[int]],
     limit: float = INF,
-    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """(rows, n) distances of (instance, source) pairs; entries beyond limit are inf.
 
     Row r holds the distances from sources[r] in instances[r]; a scalar
     instance or source applies to every row.  An (rows, s) array of sources
-    starts each row from a set of s nodes.  A (rows, n) `start` gives each
-    cell a starting distance, and the search relaxes only from cells it
-    improves.  When start[r] is itself a row of distances from a seed set
-    within limit (a residual), row r comes back as min(start[r], distances
-    from the source): the residual after adding the source as a seed.
+    starts each row from a set of s nodes.
 
     All rows advance together by Delta-stepping (Meyer and Sanders, 2003)
     over the graph's cached forward CSR.  The pending cells, those improved
@@ -354,12 +347,24 @@ def distance_rows(
     distance is final or nearly so, and a round costs what its pending
     cells cost, not the block.  Lengths are positive, so float addition is
     monotone and the fixpoint is the minimum left-folded path sum, bit for
-    bit what a Dijkstra search (pruned where it does not improve `start`)
-    computes, in whatever order the cells are relaxed.  Transient memory is
-    12 bytes per cell (distances and int32 stamps), plus the pending cells
-    and those one round improves; `source_blocks` sizes the blocks.
-    Raises ValueError for a NaN or negative limit.
+    bit what a Dijkstra search computes, in whatever order the cells are
+    relaxed.  Transient memory is 12 bytes per cell (distances and int32
+    stamps), plus the cells the search improves; `source_blocks` sizes the
+    blocks.  Raises ValueError for a NaN or negative limit.
     """
+    dist, _ = _improve_rows(g, instances, sources, limit)
+    dist[dist > limit] = INF
+    return dist
+
+
+def _improve_rows(
+    g: MultiInstanceGraph, instances, sources, limit: float, start: np.ndarray | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`distance_rows`' search from an optional (rows, n) start per cell,
+    relaxing only from cells it improves: the (rows, n) distances, not reset
+    to inf beyond limit, and its rounds' fronts of flat cells (row * n + node),
+    whose union is the cells it lowered, each to within limit.  A row started
+    from a residual ends as the residual after adding its source."""
     _check_limit(limit)
     n = g.n
     src, inst = _pair_rows(g, instances, sources)
@@ -367,8 +372,7 @@ def distance_rows(
     cells = rows * n
     if cells > np.iinfo(np.int32).max:
         raise ValueError("too many rows for one block; split them with source_blocks")
-    # Unreached cells start just above limit, so "cand < dist" also enforces
-    # cand <= limit; they are reset to inf at the end.
+    # Unreached cells start just above limit, so "cand < dist" also enforces cand <= limit.
     ceiling = np.nextafter(limit, INF)
     if start is None:
         dist = np.full(cells, ceiling)
@@ -377,8 +381,9 @@ def distance_rows(
         if start.shape != (rows, n):
             raise ValueError(f"start must have shape ({rows}, {n})")
         dist = np.minimum(start.reshape(cells), ceiling)
+    fronts = [np.zeros(0, np.int64)]  # a cell the search lowers is relaxed in some round
     if not cells:
-        return dist.reshape(rows, n)
+        return dist.reshape(rows, n), fronts
     indptr, heads, weights = g.forward_csr()
     width = _BUCKET_SPAN * g.median_length
     slot = np.empty(cells, dtype=np.int32)  # scratch for _distinct
@@ -394,6 +399,7 @@ def distance_rows(
         level = dist[pending]
         near = level <= level.min() + width
         front, base, pending = pending[near], level[near], pending[~near]
+        fronts.append(front)
         row = front // n
         key = front + lift[row]
         first = indptr[key]
@@ -417,8 +423,7 @@ def distance_rows(
             found.append(tgt[cand < dist[tgt]])
             np.minimum.at(dist, tgt, cand)
         pending = _distinct(np.concatenate(found), slot)
-    dist[dist > limit] = INF
-    return dist.reshape(rows, n)
+    return dist.reshape(rows, n), fronts
 
 
 def _distinct(cells: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -426,6 +431,13 @@ def _distinct(cells: np.ndarray, slot: np.ndarray) -> np.ndarray:
     order = np.arange(cells.size, dtype=np.int32)
     slot[cells] = order
     return cells[slot[cells] == order]
+
+
+def _lowered(fronts: list[np.ndarray]) -> np.ndarray:
+    """The distinct cells of a search's fronts, in increasing order."""
+    cells = np.concatenate(fronts)
+    cells.sort()  # in place, where np.unique would copy the cells once more
+    return cells[np.diff(cells, prepend=-1) > 0]
 
 
 def _check_limit(limit: float | np.ndarray) -> None:
@@ -450,7 +462,8 @@ def _pair_rows(
 
 
 def reverse_balls(
-    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int], limit: float | np.ndarray
+    g: MultiInstanceGraph, instances: int | Sequence[int], sources: int | Sequence[int], limit: float | np.ndarray,
+    table: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parallel arrays (row, node, dist) of every node within limit of each
     (instance, source) row, sorted by (row, dist, node).
@@ -466,17 +479,18 @@ def reverse_balls(
     of rows: at most block_rows(n) rows of n cells, one _BLOCK_CELLS, which
     bounds its memory besides the balls it returns.  The rows of a larger
     call run block after block, and a block resets only the cells it
-    reached.  Each label-correcting round expands the cells that improved in
-    the last round over the reverse CSR, drops the candidates that do not
+    reached.  A caller may lend its own all-inf float64 `table`,
+    block_rows(n) * n cells or more, and gets it back all-inf, also when the
+    call raises.  Each label-correcting round expands the cells that improved
+    in the last round over the reverse CSR, drops the candidates that do not
     beat their cell, and writes the least candidate per cell, found with one
     sort, to the table.  A block's reached cells leave in (row, dist, node)
-    order, sorted by one int64 key.  As in
-    `distance_rows`, lengths are positive, so distances are bit for bit a
-    reverse Dijkstra search's, and (dist, node) is the order in which one
-    that breaks ties by node settles them, unless a length is absorbed
-    (d + w == d) and the absorbed node has the smaller id: Dijkstra reaches
-    it only after the node it is absorbed from.  A round expands at most
-    about _BLOCK_CELLS edges at a time.
+    order, sorted by one int64 key.  As in `distance_rows`, lengths are
+    positive, so distances are bit for bit a reverse Dijkstra search's, and
+    (dist, node) is the order in which one that breaks ties by node settles
+    them, unless a length is absorbed (d + w == d) and the absorbed node has
+    the smaller id: Dijkstra reaches it only after the node it is absorbed
+    from.  A round expands at most about _BLOCK_CELLS edges at a time.
     """
     _check_limit(limit)
     n = g.n
@@ -491,7 +505,8 @@ def reverse_balls(
         limit = limit.ravel()  # the bound of (instance, node) is limit[instance * n + node]
     indptr, tails, weights = g.reverse_csr()
     step = block_rows(n)
-    table = np.full(min(src.size, step) * n, INF)  # cell (row - lo) * n + node of the block at lo
+    if table is None:
+        table = np.full(min(src.size, step) * n, INF)  # cell (row - lo) * n + node of the block at lo
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]  # per block, its sorted balls
 
     def relax(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -517,38 +532,42 @@ def reverse_balls(
         table[tgt] = cand
         return tgt, fresh
 
-    for lo in range(0, src.size, step):
-        rows = min(step, src.size - lo)
-        front = np.arange(rows) * n + src[lo : lo + rows]
-        table[front] = 0.0
-        reached = [front]
-        first_csr = inst[lo : lo + rows] * n  # the first reverse CSR row of each row's instance
-        while front.size:
-            row, node = np.divmod(front, n)
-            row_cell = front - node  # the table cell of each front cell's row at node 0
-            base_csr = first_csr[row]
-            row_limit = limit[row + lo] if per_row else None
-            csr = base_csr + node
-            first = indptr[csr]
-            deg = indptr[csr + 1] - first
-            ends = deg.cumsum()
-            starts = ends - deg
-            shift = first - starts  # expansion j of cell p scans edge j + shift[p]
-            base = table[front]
-            if ends[-1] <= _BLOCK_CELLS:
-                front, found = relax(0, front.size)
-            else:  # chunks of whole front cells, each ending past a multiple of _BLOCK_CELLS edges
-                cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right").tolist()
-                changed, found = zip(*(relax(a, b) for a, b in zip([0, *cuts], [*cuts, front.size])))
-                front, found = np.unique(np.concatenate(changed)), np.concatenate(found)
-            reached.append(found)
-        reached = np.concatenate(reached)
-        level, rank = np.unique(table[reached], return_inverse=True)
-        table[reached] = INF  # the next block starts from an empty table
-        # one int64 key per reached cell, in (row, dist, node) order, below (rows * n) ** 2
-        key, node = np.divmod(np.sort((reached // n * level.size + rank) * n + reached % n), n)
-        row, rank = np.divmod(key, level.size)
-        parts.append((row + lo, node, level[rank]))
+    try:
+        for lo in range(0, src.size, step):
+            rows = min(step, src.size - lo)
+            front = np.arange(rows) * n + src[lo : lo + rows]
+            table[front] = 0.0
+            reached = [front]
+            first_csr = inst[lo : lo + rows] * n  # the first reverse CSR row of each row's instance
+            while front.size:
+                row, node = np.divmod(front, n)
+                row_cell = front - node  # the table cell of each front cell's row at node 0
+                base_csr = first_csr[row]
+                row_limit = limit[row + lo] if per_row else None
+                csr = base_csr + node
+                first = indptr[csr]
+                deg = indptr[csr + 1] - first
+                ends = deg.cumsum()
+                starts = ends - deg
+                shift = first - starts  # expansion j of cell p scans edge j + shift[p]
+                base = table[front]
+                if ends[-1] <= _BLOCK_CELLS:
+                    front, found = relax(0, front.size)
+                else:  # chunks of whole front cells, each ending past a multiple of _BLOCK_CELLS edges
+                    cuts = np.searchsorted(ends, np.arange(_BLOCK_CELLS, ends[-1], _BLOCK_CELLS), side="right").tolist()
+                    changed, found = zip(*(relax(a, b) for a, b in zip([0, *cuts], [*cuts, front.size])))
+                    front, found = np.unique(np.concatenate(changed)), np.concatenate(found)
+                reached.append(found)
+            reached = np.concatenate(reached)
+            level, rank = np.unique(table[reached], return_inverse=True)
+            table[reached] = INF  # the next block starts from an empty table
+            # one int64 key per reached cell, in (row, dist, node) order, below (rows * n) ** 2
+            key, node = np.divmod(np.sort((reached // n * level.size + rank) * n + reached % n), n)
+            row, rank = np.divmod(key, level.size)
+            parts.append((row + lo, node, level[rank]))
+    except BaseException:
+        table.fill(INF)  # leave a caller's table fit for its next call
+        raise
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
@@ -580,13 +599,13 @@ def residual_update(
     by (instance, new, node): the order in which a per-instance Dijkstra from
     x, pruned where it does not beat delta and bounded by limit, settles
     them.  delta is not modified; callers write `delta[instance, node] = new`
-    once they have used the old values.
+    once they have used the old values.  No step scans all ell * n cells.
     """
     parts = []
     for blk in source_blocks(g.n, g.ell):
         old = delta[blk.start:blk.stop]
-        new = distance_rows(g, blk, x, limit, start=old)
-        row, node = np.nonzero(new < old)
+        new, fronts = _improve_rows(g, blk, x, limit, old)
+        row, node = np.divmod(_lowered(fronts), g.n)
         parts.append((row + blk.start, node, old[row, node], new[row, node]))
     inst, node, old, new = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((node, new, inst))

@@ -56,7 +56,9 @@ class ThresholdState:
         empty = np.zeros(0, dtype=np.int64)
         self._rank = self._pair = self._start = self._row = self._ball = empty
         self._pos = 0
+        self._table = None  # reverse_balls' dense table, allocated once and shared by every batch
         self.pairs_searched = 0
+        self.delta_updates = 0
         self.ball_entries = 0
         self.n_covered = 0
         self.seeds: list[int] = []
@@ -80,7 +82,9 @@ class ThresholdState:
         if not sel.size:
             return False
         self._rank, self._pair = rank[sel], inst[sel] * g.n + node[sel]
-        self._row, self._ball, _ = reverse_balls(g, inst[sel], node[sel], T)
+        if self._table is None:
+            self._table = np.full(block_rows(g.n) * g.n, INF)
+        self._row, self._ball, _ = reverse_balls(g, inst[sel], node[sel], T, self._table)
         self._start = np.searchsorted(self._row, np.arange(sel.size + 1))
         self._pos = 0
         self.pairs_searched += sel.size
@@ -132,6 +136,7 @@ class ThresholdState:
         gets covered is skipped by `_select`."""
         inst, node, old, new = residual_update(self.g, self.covered, x, self.T)
         self.covered[inst, node] = new
+        self.delta_updates += inst.size
         fresh = old == INF
         contributions = self.contributions
         gone = [contributions.pop(p) for p in (inst[fresh] * self.g.n + node[fresh]).tolist() if p in contributions]
@@ -152,7 +157,7 @@ def run_threshold_im(
     s_max seeds or full coverage, whichever comes first.  Its metadata
     counts the reverse balls computed (`pairs_searched`) and their total
     size (`ball_entries`), including those of pairs covered before their
-    turn.
+    turn, and the residual cells the seeds updated (`delta_updates_total`).
     """
     if not 0 <= s_max <= g.n:
         raise ValueError(f"seed count must be in [0, {g.n}], got {s_max}")
@@ -169,4 +174,5 @@ def run_threshold_im(
     trace.metadata["pairs_covered"] = state.n_covered
     trace.metadata["pairs_searched"] = state.pairs_searched
     trace.metadata["ball_entries"] = state.ball_entries
+    trace.metadata["delta_updates_total"] = state.delta_updates
     return trace

@@ -496,7 +496,8 @@ def test_bench_oracle_build(edges_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, counters",
-    [(["im", "threshold", "--T", "1.0", "--k", "8"], ["pairs_searched", "ball_entries", "pairs_covered"]),
+    [(["im", "threshold", "--T", "1.0", "--k", "8"],
+      ["pairs_searched", "ball_entries", "pairs_covered", "delta_updates_total"]),
      (["im", "alpha", "--decay", "exp:10", "--k", "8"],
       ["tau_schedule", "cursor_scans", "delta_updates_total", "pairs_searched", "ball_entries"]),
      (["greedy", "exact", "--decay", "exp:1"], ["candidates_scored"])],

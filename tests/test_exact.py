@@ -22,6 +22,7 @@ from distinf import exact, graph
 from distinf.exact import _singleton_gains
 
 from bruteforce import (
+    absorbing_graph,
     greedy_bf,
     influence_bf,
     marg_gain_bf,
@@ -312,10 +313,17 @@ def test_influence_exact_split_into_instance_blocks(monkeypatch):
         assert whole[name] == pytest.approx(evaluate_prefixes(g, seeds, alpha)[-1], rel=1e-12)
 
 
+def dense_rows(g, instances, sources, limit, start):
+    """The residual kernel's whole rows, reset to inf beyond limit."""
+    rows, _ = graph._improve_rows(g, instances, sources, limit, start)
+    rows[rows > limit] = INF
+    return rows
+
+
 def _kernel_residual(g, seeds, alpha):
     delta = np.full((g.ell, g.n), INF)
     for s in seeds:
-        delta = graph.distance_rows(g, range(g.ell), s, alpha.support_bound, start=delta)
+        delta = dense_rows(g, range(g.ell), s, alpha.support_bound, delta)
     return delta
 
 
@@ -329,6 +337,55 @@ def test_kernel_residual_equals_add_seed_delta():
                 for s in seeds:
                     add_seed(g, residual, s, alpha)
                 assert np.array_equal(_kernel_residual(g, seeds, alpha), residual.delta)
+
+
+def dense_residual_update(g, delta, x, limit):
+    """residual_update from a scan of every cell for those the seed improves."""
+    new = dense_rows(g, range(g.ell), x, limit, delta)
+    inst, node = np.nonzero(new < delta)
+    order = np.lexsort((node, new[inst, node], inst))
+    inst, node = inst[order], node[order]
+    return inst, node, delta[inst, node], new[inst, node]
+
+
+def dense_gain_sums(g, delta, candidates, alpha):
+    """exact._gain_sums from a scan of every cell of each block for those a row improves."""
+    cands = np.asarray(candidates, dtype=np.int64)
+    inst, src = np.tile(np.arange(g.ell), cands.size), np.repeat(cands, g.ell)
+    gains = np.zeros(cands.size)
+    for blk in graph.source_blocks(g.n, src.size):
+        old = delta[inst[blk.start:blk.stop]]
+        new = dense_rows(g, inst[blk.start:blk.stop], src[blk.start:blk.stop], alpha.support_bound, old)
+        row, node = np.nonzero(new < old)
+        terms = alpha.eval_array(new[row, node]) - alpha.eval_array(old[row, node])
+        gains += np.bincount((row + blk.start) // g.ell, weights=terms, minlength=cands.size)
+    return gains
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["one-block", "blocks-of-4-rows"])
+def test_residual_cells_equal_a_scan_of_every_cell(monkeypatch, small):
+    # the cells the search reports it improved are those a scan for new < old
+    # finds, and the gains summed over them are bit for bit the scan's: with
+    # finite and infinite limits, from residuals that hold finite distances
+    # above the limit, for a seed committed twice and where nothing improves
+    if small:
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", 4 * 30)
+    rng = np.random.default_rng(23)
+    for g in (random_graph(30, 2, seed=1, ell=3), skewed_graph(30, 3, 2, 3), absorbing_graph(3, ell=3)):
+        wide = residual_delta_bf(g, rng.permutation(g.n)[:2].tolist(), make_harmonic(2.0))  # no support bound
+        assert np.isfinite(wide).sum() > 2 * g.ell and (wide[np.isfinite(wide)] > 1.0).any()
+        for alpha in (make_harmonic(2.0), make_exponential(1.5), make_threshold(1.0), make_threshold(0.5)):
+            limit = alpha.support_bound
+            seeds = rng.permutation(g.n)[:4].tolist()
+            for delta in (np.full((g.ell, g.n), INF), wide.copy(), np.zeros((g.ell, g.n))):
+                for x in [*seeds, seeds[-1]]:
+                    got = graph.residual_update(g, delta, x, limit)
+                    want = dense_residual_update(g, delta, x, limit)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    assert np.array_equal(exact._gain_sums(g, delta, range(g.n), alpha),
+                                          dense_gain_sums(g, delta, range(g.n), alpha))
+                    delta[got[0], got[1]] = got[3]
+                assert not graph.residual_update(g, delta, seeds[-1], limit)[0].size  # nothing left to lower
 
 
 def test_evaluate_prefixes_split_into_instance_blocks(monkeypatch):

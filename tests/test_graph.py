@@ -194,9 +194,10 @@ def test_distance_rows_sink_reaches_only_itself():
 
 
 def test_distance_rows_start_prunes_relaxation():
-    # node 1 does not improve its start distance, so its out-edge is not relaxed
-    got = graph.distance_rows(line_graph(), 0, [0], start=np.array([[INF, 1.0, INF]]))
-    assert got.tolist() == [[0.0, 1.0, INF]]
+    # started from a residual, node 1 does not improve its distance, so its
+    # out-edge is not relaxed and only the new seed's own cell changes
+    inst, node, old, new = graph.residual_update(line_graph(), np.array([[INF, 1.0, INF]]), 0)
+    assert [a.tolist() for a in (inst, node, old, new)] == [[0], [0], [INF], [0.0]]
 
 
 def _graphs_with_sinks():
@@ -236,8 +237,8 @@ def test_distance_rows_rejects_bad_source():
         graph.distance_rows(line_graph(), 0, [3])
     with pytest.raises(ValueError):
         graph.distance_rows(line_graph(), 1, [0])
-    with pytest.raises(ValueError):
-        graph.distance_rows(line_graph(), 0, [0], start=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="start must have shape"):
+        graph.residual_update(line_graph(), np.zeros((1, 4)), 0)
 
 
 def test_distance_rows_mixed_instance_rows():
@@ -287,8 +288,10 @@ def test_residual_rows_equal_bellman_ford_on_hard_lengths():
         for limit in (INF, 1.0):
             seeds = rng.permutation(g.n)[:5].tolist()
             for k, x in enumerate(seeds):
-                got = graph.distance_rows(g, range(g.ell), x, limit, start=bf_rows(g, seeds[:k], limit))
-                assert np.array_equal(got, bf_rows(g, seeds[: k + 1], limit))
+                delta = bf_rows(g, seeds[:k], limit)
+                inst, node, _, new = graph.residual_update(g, delta, x, limit)
+                delta[inst, node] = new
+                assert np.array_equal(delta, bf_rows(g, seeds[: k + 1], limit))
 
 
 def test_distance_rows_from_seed_sets():
@@ -330,8 +333,8 @@ def test_distance_rows_relax_only_improved_cells(monkeypatch):
     # started from a residual, a row relaxes only the cells it improves, and
     # not the seeds the residual already holds
     lengths.reads = 0
-    new = graph.distance_rows(g, 0, [10], start=rows[[0]])
-    assert lengths.reads == degree[np.flatnonzero(new[0] < rows[0])].sum() == 10
+    _, node, _, _ = graph.residual_update(g, rows[[0]], 10)
+    assert lengths.reads == degree[node].sum() == 10
 
 
 @pytest.mark.parametrize("limit", [math.nan, -1.0])
@@ -530,3 +533,44 @@ def test_reverse_balls_blocks_and_validation(monkeypatch):
     for inst, src in ((0, [g.n]), (2, [0]), (-1, [0])):
         with pytest.raises(ValueError, match="out of range"):
             graph.reverse_balls(g, inst, src, 1.0)
+
+
+class FailingLengths(np.ndarray):
+    """Edge lengths that raise on the read through an index array after `reads` of them."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            self.reads -= 1
+            if self.reads < 0:
+                raise RuntimeError("search stopped")
+        return np.asarray(super().__getitem__(index))
+
+
+@pytest.mark.parametrize("cells", [None, 3 * 30], ids=["one-block", "blocks-of-3-rows"])
+def test_reverse_balls_reuse_a_callers_table(monkeypatch, cells):
+    # consecutive calls that share one table give the balls of calls with
+    # fresh tables and leave it all-inf, also after a call that raises
+    # mid-search, for one limit, per-row limits and per-node limits
+    if cells:
+        monkeypatch.setattr(graph, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(9)
+    for g in (random_graph(30, 3, seed=3, ell=2), absorbing_graph(3), skewed_graph(30, 3, 5, 2)):
+        table = np.full(graph.block_rows(g.n) * g.n, INF)
+        for _ in range(2):
+            instances, sources = rng.integers(0, g.ell, 20), rng.integers(0, g.n, 20)
+            for limit in (1.0, INF, rng.exponential(1.0, 20), rng.exponential(1.0, (g.ell, g.n))):
+                want = graph.reverse_balls(g, instances, sources, limit)
+                got = graph.reverse_balls(g, instances, sources, limit, table)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                assert (table == INF).all()
+        indptr, tails, weights = g.reverse_csr()
+        for reads in (0, 1, 3):
+            lengths = weights.view(FailingLengths)
+            lengths.reads = reads
+            with monkeypatch.context() as m:
+                m.setattr(g, "reverse_csr", lambda: (indptr, tails, lengths))
+                with pytest.raises(RuntimeError, match="search stopped"):
+                    graph.reverse_balls(g, instances, sources, INF, table)
+            assert (table == INF).all()
+        assert all(np.array_equal(a, b) for a, b in zip(graph.reverse_balls(g, instances, sources, 1.0, table),
+                                                         graph.reverse_balls(g, instances, sources, 1.0)))

@@ -129,6 +129,16 @@ def test_traces_equal_bruteforce_tskim(monkeypatch, rows):
                     assert trace.metadata["ball_entries"] == sum(balls)
 
 
+def test_delta_updates_count_the_residual_cells_each_seed_lowers():
+    for seed, g in list(tskim_cases())[:8]:
+        for T in (0.5, 3.0):
+            trace = run_threshold_im(g, T, 3, 8, seed=seed)
+            seeds = trace.seeds()
+            steps = [residual_delta_bf(g, seeds[:s], make_threshold(T)) for s in range(len(seeds) + 1)]
+            lowered = sum(int((before != after).sum()) for before, after in zip(steps, steps[1:]))
+            assert trace.metadata["delta_updates_total"] == lowered > 0
+
+
 def test_search_counts_on_line_graph():
     # one batch holds all three pairs: a's ball is {a}, b's {b, a} and c's
     # {c, b}, as a is 2 > T away from c
