@@ -123,6 +123,8 @@ class MultiInstanceGraph:
             raise ValueError("need one tail and head per edge and an (ell, m) matrix with one length per edge")
         if not len(weights):
             raise ValueError("need at least one instance")
+        if n < 1:
+            raise ValueError(f"a graph needs at least one node, got n={n}")
         if len(tails) and (min(tails.min(), heads.min()) < 0 or max(tails.max(), heads.max()) >= n):
             raise ValueError(f"edge endpoints must be node ids in [0, {n})")
         if not (weights > 0).all():
@@ -185,7 +187,8 @@ def load_edge_list(path: str, weighted: bool = False) -> MultiInstanceGraph:
     Node ids are remapped to dense [0, n) in order of first appearance; the
     original tokens are kept as labels.  Self-loops are dropped and parallel
     edges are collapsed to the minimum length (convention; absent edges mean
-    infinite distance either way).  Unweighted edges get length 1.
+    infinite distance either way).  Unweighted edges get length 1.  A file
+    without edge lines is rejected, as a graph needs a node.
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -224,6 +227,8 @@ def load_edge_list(path: str, weighted: bool = False) -> MultiInstanceGraph:
                 order.append(key)
             elif w < best[key]:
                 best[key] = w
+    if not labels:
+        raise GraphFormatError(f"{path}: no edges")
     tails = [t for t, _ in order]
     heads = [h for _, h in order]
     weights = np.array([[best[k] for k in order]], dtype=np.float64)

@@ -24,8 +24,10 @@ fixed tau, and each pair replays its ball past the nodes it has scanned.
 The loops touch one cell at a time, so the per-cell state (estimates, pair
 priorities, cached alpha(delta), ranks, seed flags) is kept in Python lists:
 a Python float read or write costs a fraction of a numpy scalar access, and
-heap keys compare as Python floats.  The residual `delta` stays an (ell, n)
-array because `residual_update` and the exact check read it whole.
+heap keys compare as Python floats.  Pair (v, i) is the one integer
+pid = v * ell + i, which orders pairs as (v, i) does; the per-pair lists are
+flat and indexed by pid.  The residual `delta` stays an (ell, n) array
+because `residual_update` and the exact check read it whole.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .graph import MultiInstanceGraph, past_balls, residual_update, reverse_ball
 from .sketch import structured_ranks
 
 INF = math.inf
-
-Pair = tuple[int, int]  # (node, instance)
 
 _SLACK, _TINY = 2.0**-40, 2.0**-1000  # relative and absolute slack of the scan limits
 
@@ -70,13 +70,20 @@ class PPSState:
     """Sampling threshold, residual distances, inverted sample index, and the
     three lazy priority queues.
 
-    Index lists hold (node, distance, alpha(distance)) in reverse-Dijkstra
-    scan order; `hm[pair]` is the count of H entries and `ml[pair]` the count
-    of H plus M entries, so positions < hm are H, positions in [hm, ml) are M,
-    and positions >= ml are L.  Entries with non-positive contribution are
-    trimmed and never return.  A pair has an index list once it has scanned
-    its own node, and `next_dist` holds the distance of a live pair's next
-    scan.  Per-cell state is indexed [instance][node].
+    Per-pair state sits in flat lists of length n * ell indexed by
+    pid = v * ell + i.  Index lists hold (node, distance, alpha(distance)) in
+    reverse-Dijkstra scan order; `hm[pid]` is the count of H entries and
+    `ml[pid]` the count of H plus M entries, so positions < hm are H,
+    positions in [hm, ml) are M, and positions >= ml are L.  Entries with
+    non-positive contribution are trimmed and never return.  `index[pid]` is
+    None until the pair has scanned its own node, and `next_dist` holds the
+    distance of a live pair's next scan.
+
+    Pairs never searched wait in `stream`, their pids sorted by
+    (-initial priority, pid), of which the first `stream_at` have been taken;
+    `q_pairs` holds (-priority, pid) entries of paused pairs and of stream
+    pairs whose priority a commit lowered.  Together they pop as one heap of
+    every pair would, ties included.
     """
 
     def __init__(
@@ -101,33 +108,33 @@ class PPSState:
         self.k = k
         self.lam = lam
         self.eps = eps  # adaptive accuracy; None for fixed-k selection
-        n, ell = g.n, g.ell
+        n, ell, cells = g.n, g.ell, g.n * g.ell
         ranks = structured_ranks(n, ell, ell, seed)  # ell blocks: every pair is ranked
-        rank_norm = ranks.rank.T / ranks.norm  # (ell, n)
+        rank_norm = (ranks.rank / ranks.norm).ravel()  # by pid
         self.rank_norm = rank_norm.tolist()
         self.delta = np.full((ell, n), INF)
-        self.alpha_delta = [[0.0] * n for _ in range(ell)]  # alpha(delta), cached
+        self.alpha_delta = [0.0] * cells  # alpha(delta), cached
         self.est_h = [0.0] * n
         self.est_m = [0] * n
-        self.next_dist = [[0.0] * n for _ in range(ell)]
-        self.index: dict[Pair, list[tuple[int, float, float]]] = {}
-        self.hm: dict[Pair, int] = {}
-        self.ml: dict[Pair, int] = {}
+        self.next_dist = [0.0] * cells
+        self.index: list[list[tuple[int, float, float]] | None] = [None] * cells
+        self.hm = [0] * cells
+        self.ml = [0] * cells
         a0 = alpha.alpha0
         self.tau = tau0 if tau0 is not None else a0 * n * ell / (2 * k)
         if not self.tau > 0:
             raise ValueError("tau0 must be positive")
         # Pair priorities: the sampling threshold at which the pair's reverse
         # Dijkstra would admit its next scanned node.  They only decrease.
-        self.pair_prio = (a0 / rank_norm).tolist()
-        self.q_pairs: list[tuple[float, int, int]] = [
-            (-p, v, i) for i, row in enumerate(self.pair_prio) for v, p in enumerate(row)
-        ]
-        heapq.heapify(self.q_pairs)
+        prio = a0 / rank_norm
+        self.pair_prio = prio.tolist()
+        self.stream = np.argsort(-prio, kind="stable")
+        self.stream_at = 0
+        self.q_pairs: list[tuple[float, int]] = []
         self.q_cands: list[tuple[float, int]] = []
         self.queued = [-INF] * n  # per node, its last key pushed to q_cands; -inf once popped
-        self.q_hml: list[tuple[float, int, int]] = []
-        self.reclass: dict[Pair, float] = {}
+        self.q_hml: list[tuple[float, int]] = []
+        self.reclass = [-INF] * cells
         self.is_seed = [False] * n
         self.seeds: list[int] = []
         self.coverage = 0.0
@@ -158,41 +165,38 @@ class PPSState:
     # ------------------------------------------------------------------ #
     # reclassification queue
 
-    def _update_reclass(self, pair: Pair) -> None:
+    def _update_reclass(self, pid: int) -> None:
         """Recompute the tau at which the pair's first reclassification occurs
         (from the entries at the HM and ML boundaries) and requeue it."""
-        lst = self.index[pair]
-        hm, ml = self.hm[pair], self.ml[pair]
-        v, i = pair
-        ad = self.alpha_delta[i][v]
+        lst = self.index[pid]
+        hm, ml = self.hm[pid], self.ml[pid]
+        ad = self.alpha_delta[pid]
         t = -INF
         if hm < ml:
             t = lst[hm][2] - ad  # first M entry turns H at tau <= c
         if ml < len(lst):
-            r = self.rank_norm[i][v]
-            t = max(t, (lst[ml][2] - ad) / r)  # first L entry turns M at tau <= c / r
-        self.reclass[pair] = t
+            t = max(t, (lst[ml][2] - ad) / self.rank_norm[pid])  # first L entry turns M at tau <= c / r
+        self.reclass[pid] = t
         if t > 0:
-            heapq.heappush(self.q_hml, (-t, pair[0], pair[1]))
+            heapq.heappush(self.q_hml, (-t, pid))
 
     def _move_up(self) -> None:
         """Promote entries after a tau decrease: L to M or H, M to H."""
         tau = self.tau
         est_h, est_m = self.est_h, self.est_m
         while self.q_hml:
-            negt, v, i = self.q_hml[0]
+            negt, pid = self.q_hml[0]
             t = -negt
-            pair = (v, i)
-            if self.reclass.get(pair, -INF) != t:
+            if self.reclass[pid] != t:
                 heapq.heappop(self.q_hml)  # stale; current value was re-pushed
                 continue
             if t < tau:
                 break
             heapq.heappop(self.q_hml)
-            lst = self.index[pair]
-            ad = self.alpha_delta[i][v]
-            r = self.rank_norm[i][v]
-            old_hm, old_ml = self.hm[pair], self.ml[pair]
+            lst = self.index[pid]
+            ad = self.alpha_delta[pid]
+            r = self.rank_norm[pid]
+            old_hm, old_ml = self.hm[pid], self.ml[pid]
             # first entry whose contribution alpha(d) - ad falls below tau; the key
             # ad - alpha(d) is its exact negation, so the boundary matches per-entry checks
             new_hm = bisect_right(lst, -tau, lo=old_hm, key=lambda e: ad - e[2])
@@ -208,9 +212,9 @@ class PPSState:
                 u = lst[p][0]
                 est_m[u] += 1
                 self._touch_candidate(u)
-            self.hm[pair] = new_hm
-            self.ml[pair] = max(new_ml, new_hm)
-            self._update_reclass(pair)
+            self.hm[pid] = new_hm
+            self.ml[pid] = max(new_ml, new_hm)
+            self._update_reclass(pid)
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -218,71 +222,84 @@ class PPSState:
     def next_scan(self, v: int, i: int) -> float:
         """Distance at which live pair (v, i) scans its next node: 0 before it
         scans its own node; inf when nothing is left to scan."""
-        return self.next_dist[i][v]
+        return self.next_dist[v * self.g.ell + i]
 
     def resume_sampling(self) -> None:
         """Resume every paused reverse search whose priority has reached tau.
 
-        The due pairs leave the queue first, in its order and each once:
-        resuming one pair changes no other pair's priority.  One
-        `reverse_balls` call then searches all of them from their sources,
-        each within its `_scan_limits` bound.  In the same order, each pair
-        scans its ball past the entries already in its index until the pause
-        rule holds again, at a ball entry or at the distance past the ball."""
-        tau, fn, prio = self.tau, self.alpha.fn, self.pair_prio
-        est_h, est_m, hm, ml = self.est_h, self.est_m, self.hm, self.ml
-        due: list[Pair] = []
-        while self.q_pairs and -self.q_pairs[0][0] >= tau:  # stored priorities are upper bounds
-            negp, v, i = heapq.heappop(self.q_pairs)
-            cur = prio[i][v]
+        The due pairs leave the stream (its due prefix by one bisection) and
+        `q_pairs` first, each once and in (-priority, pid) order: resuming
+        one pair changes no other pair's priority.  One `reverse_balls` call
+        then searches all of them from their sources, each within its
+        `_scan_limits` bound.  In the same order, each pair scans its ball
+        past the entries already in its index until the pause rule holds
+        again, at a ball entry or at the distance past the ball."""
+        tau, fn, prio, ell = self.tau, self.alpha.fn, self.pair_prio, self.g.ell
+        est_h, est_m, hm, ml, index = self.est_h, self.est_m, self.hm, self.ml, self.index
+        alpha_delta, rank_norm, q = self.alpha_delta, self.rank_norm, self.q_pairs
+        a0, at = self.alpha.alpha0, self.stream_at
+        end = self.stream_at = bisect_right(self.stream, -tau, lo=at, key=lambda pid: -a0 / rank_norm[pid])
+        fresh = []  # stream entries still at their initial priority
+        for pid in self.stream[at:end].tolist():
+            p0, cur = a0 / rank_norm[pid], prio[pid]
+            if cur == p0:
+                fresh.append((-p0, pid))
+            elif cur > 0:
+                heapq.heappush(q, (-cur, pid))  # lowered by a commit
+        taken = []
+        while q and -q[0][0] >= tau:  # stored priorities are upper bounds
+            negp, pid = q[0]
+            cur = prio[pid]
             if cur == -negp:
-                prio[i][v] = -INF  # taken: another entry of the pair is now stale; the replay sets it
-                due.append((v, i))
-            elif cur > 0:  # stale entry
-                heapq.heappush(self.q_pairs, (-cur, v, i))
+                prio[pid] = -INF  # taken: another entry of the pair is now stale; the replay sets it
+                taken.append(heapq.heappop(q))
+            elif cur > 0:
+                heapq.heapreplace(q, (-cur, pid))  # stale entry
+            else:
+                heapq.heappop(q)
+        due = [pid for _, pid in sorted(fresh + taken)]
         if not due:
             return
-        src, inst = (np.array(c) for c in zip(*due))
-        ad, r = (np.array([cells[i][v] for v, i in due]) for cells in (self.alpha_delta, self.rank_norm))
+        src, inst = np.divmod(np.array(due), ell)
+        ad, r = (np.array([cells[pid] for pid in due]) for cells in (alpha_delta, rank_norm))
         row, node, dist = reverse_balls(self.g, inst, src, _scan_limits(self.alpha, ad, r, tau))
         past = past_balls(self.g, inst, row, node, dist).tolist()
         start = np.searchsorted(row, np.arange(len(due) + 1)).tolist()
         self.pairs_searched += len(due)
         self.ball_entries += node.size
         node, dist = node.tolist(), dist.tolist()
-        for j, pair in enumerate(due):
-            v, i = pair
-            ad, r, lst = self.alpha_delta[i][v], self.rank_norm[i][v], self.index.get(pair)
+        for j, pid in enumerate(due):
+            ad, r, lst = alpha_delta[pid], rank_norm[pid], index[pid]
             a, b = start[j] + len(lst or ()), start[j + 1]
             for u, d in zip([*node[a:b], None], [*dist[a:b], past[j]]):
                 a_d = fn(d)
                 c = a_d - ad
                 if c <= 0:
-                    prio[i][v] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
+                    prio[pid] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
                     break
                 p = c / r
                 if p < tau:
-                    prio[i][v] = p  # pause
-                    self.next_dist[i][v] = d
-                    heapq.heappush(self.q_pairs, (-p, v, i))
+                    prio[pid] = p  # pause
+                    self.next_dist[pid] = d
+                    heapq.heappush(q, (-p, pid))
                     break
                 if u is None:
-                    raise RuntimeError(f"the scan limit of pair {pair} cut off a distance its pause rule admits")
+                    v, i = divmod(pid, ell)
+                    raise RuntimeError(f"the scan limit of pair {(v, i)} cut off a distance its pause rule admits")
                 if lst is None:  # the pair's own node, at distance 0
-                    lst = self.index[pair] = []
-                    hm[pair] = ml[pair] = 0
+                    lst = index[pid] = []
                 self.cursor_scans += 1
                 lst.append((u, d, a_d))
                 if c >= tau:
                     est_h[u] += c
-                    hm[pair] += 1
-                    ml[pair] += 1
+                    hm[pid] += 1
+                    ml[pid] += 1
                 else:
                     est_m[u] += 1
-                    first_m = ml[pair] == hm[pair] == len(lst) - 1
-                    ml[pair] += 1
+                    first_m = ml[pid] == hm[pid] == len(lst) - 1
+                    ml[pid] += 1
                     if first_m:
-                        self._update_reclass(pair)
+                        self._update_reclass(pid)
                 self._touch_candidate(u)
 
     def lower_tau(self) -> None:
@@ -329,20 +346,19 @@ class PPSState:
     # ------------------------------------------------------------------ #
     # committing a seed
 
-    def _move_down(self, pair: Pair, lst: list, new_ad: float) -> None:
+    def _move_down(self, pid: int, lst: list, new_ad: float) -> None:
         """Demote the index entries of one pair after its residual distance drops.
 
         Every entry's contribution shrinks by the same amount, so the H/M/L
         boundaries only move left, the tail with non-positive contribution is
         cut, and kept H entries adjust their sums in place.
         """
-        v, i = pair
-        old_ad = self.alpha_delta[i][v]
+        old_ad = self.alpha_delta[pid]
         shift = old_ad - new_ad  # <= 0
         tau = self.tau
-        r = self.rank_norm[i][v]
+        r = self.rank_norm[pid]
         est_h, est_m = self.est_h, self.est_m
-        old_hm, old_ml = self.hm[pair], self.ml[pair]
+        old_hm, old_ml = self.hm[pid], self.ml[pid]
         cut = bisect_left(lst, -new_ad, key=lambda e: -e[2])  # first entry with alpha(d) <= new_ad
         new_hm = min(bisect_right(lst, -tau, key=lambda e: new_ad - e[2]), cut)
         new_ml = min(bisect_right(lst, -(r * tau), lo=new_hm, key=lambda e: new_ad - e[2]), cut)
@@ -356,9 +372,9 @@ class PPSState:
         for p in range(max(old_hm, new_ml), old_ml):
             est_m[lst[p][0]] -= 1
         del lst[cut:]
-        self.hm[pair] = new_hm
-        self.ml[pair] = new_ml
-        self._update_reclass(pair)
+        self.hm[pid] = new_hm
+        self.ml[pid] = new_ml
+        self._update_reclass(pid)
 
     def commit_seed(self, x: int, estimate: float | None = None) -> float:
         """Make x a seed: every residual distance it improves demotes samples,
@@ -368,23 +384,19 @@ class PPSState:
         if self.is_seed[x]:
             raise ValueError(f"node {x} is already a seed")
         g, fn = self.g, self.alpha.fn
-        alpha_delta, prio, index = self.alpha_delta, self.pair_prio, self.index
+        alpha_delta, prio, index, next_dist = self.alpha_delta, self.pair_prio, self.index, self.next_dist
         inst, node, _, new = residual_update(g, self.delta, x, self.alpha.support_bound)
         gain_total = 0.0
-        for i, v, d in zip(inst.tolist(), node.tolist(), new.tolist()):
+        for pid, d in zip((node * g.ell + inst).tolist(), new.tolist()):
             a_d = fn(d)
-            ad_row = alpha_delta[i]
-            gain_total += a_d - ad_row[v]
-            if prio[i][v] > -INF:
-                new_p = (fn(self.next_scan(v, i)) - a_d) / self.rank_norm[i][v]
-                if new_p <= 0:
-                    prio[i][v] = -INF  # terminated for good
-                else:
-                    prio[i][v] = new_p  # lazy: heap fixed up on pop
-            lst = index.get((v, i))
+            gain_total += a_d - alpha_delta[pid]
+            if prio[pid] > -INF:
+                new_p = (fn(next_dist[pid]) - a_d) / self.rank_norm[pid]
+                prio[pid] = -INF if new_p <= 0 else new_p  # terminated for good, or lowered lazily: fixed up on pop
+            lst = index[pid]
             if lst:
-                self._move_down((v, i), lst, a_d)
-            ad_row[v] = a_d
+                self._move_down(pid, lst, a_d)
+            alpha_delta[pid] = a_d
         self.delta[inst, node] = new
         self.delta_update_count += len(inst)
         self.is_seed[x] = True
@@ -414,11 +426,11 @@ def run_pps_im(
     s_max seeds are chosen or coverage is full (n * alpha(0) per instance).
     `eps` switches on adaptive selection.
     """
-    if s_max is not None and s_max < 0:
-        raise ValueError(f"seed count must be non-negative, got {s_max}")
+    if s_max is not None and not 0 <= s_max <= g.n:
+        raise ValueError(f"seed count must be in [0, {g.n}], got {s_max}")
     state = PPSState(g, alpha, k, lam=lam, tau0=tau0, seed=seed, eps=eps)
     full = g.n * g.ell * alpha.alpha0
-    limit = min(s_max, g.n) if s_max is not None else g.n
+    limit = s_max if s_max is not None else g.n
     while len(state.seeds) < limit and state.coverage < full - 1e-9:
         while (pick := state.next_seed()) is None:
             state.lower_tau()

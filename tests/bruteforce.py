@@ -344,10 +344,12 @@ def rescan_pps_state(state):
     distances, and ranks."""
     est_h = np.zeros(state.g.n)
     est_m = np.zeros(state.g.n, dtype=np.int64)
-    hm, ml = {}, {}
-    for (v, i), lst in state.index.items():
-        ad = state.alpha_delta[i][v]
-        r = state.rank_norm[i][v]
+    hm, ml = [0] * len(state.index), [0] * len(state.index)
+    for pid, lst in enumerate(state.index):
+        if lst is None:
+            continue
+        ad = state.alpha_delta[pid]
+        r = state.rank_norm[pid]
         n_h = n_m = 0
         prev = INF
         for u, d, a_d in lst:
@@ -361,8 +363,8 @@ def rescan_pps_state(state):
             elif c >= r * state.tau:
                 n_m += 1
                 est_m[u] += 1
-        hm[(v, i)] = n_h
-        ml[(v, i)] = n_h + n_m
+        hm[pid] = n_h
+        ml[pid] = n_h + n_m
     return est_h, est_m, hm, ml
 
 
@@ -370,16 +372,20 @@ def check_pps_state(state):
     """Full-rescan consistency: incremental state must match a from-scratch
     reclassification, and the stored priority of every live pair (never
     started, or paused at its stored next scan distance) must stay an upper
-    bound."""
+    bound, held by an entry of the never-searched stream or of the pair queue."""
     est_h, est_m, hm, ml = rescan_pps_state(state)
     assert hm == state.hm
     assert ml == state.ml
     assert np.array_equal(est_m, state.est_m)
     np.testing.assert_allclose(est_h, state.est_h, rtol=1e-9, atol=1e-12)
-    for i in range(state.g.ell):
-        for v in range(state.g.n):
-            if state.pair_prio[i][v] == -INF:
-                continue
-            mu = state.next_scan(v, i)
-            true_p = (state.alpha.fn(mu) - state.alpha_delta[i][v]) / state.rank_norm[i][v]
-            assert state.pair_prio[i][v] >= true_p - 1e-12
+    waiting = {pid: state.alpha.alpha0 / state.rank_norm[pid] for pid in state.stream[state.stream_at:].tolist()}
+    queued = {}
+    for negp, pid in state.q_pairs:
+        queued[pid] = max(queued.get(pid, -INF), -negp)
+    for pid, p in enumerate(state.pair_prio):
+        if p == -INF:
+            continue
+        mu = state.next_scan(*divmod(pid, state.g.ell))
+        true_p = (state.alpha.fn(mu) - state.alpha_delta[pid]) / state.rank_norm[pid]
+        assert p >= true_p - 1e-12
+        assert max(queued.get(pid, -INF), waiting.get(pid, -INF)) >= p

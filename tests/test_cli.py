@@ -511,13 +511,58 @@ def test_metrics_report_one_schema(edges_file, tmp_path, argv, counters):
     assert all(name in rep for name in counters)
 
 
-@pytest.mark.parametrize("argv", [["im", "alpha", "--decay", "exp:10", "--k", "8"], ["im", "threshold", "--T", "1.0", "--k", "8"],
-                                  ["greedy", "exact", "--decay", "exp:1"]], ids=["askim", "tskim", "greedy"])
+_SEQUENCE_COMMANDS = [["im", "alpha", "--decay", "exp:10", "--k", "8"], ["im", "threshold", "--T", "1.0", "--k", "8"],
+                      ["greedy", "exact", "--decay", "exp:1"]]
+
+
+@pytest.mark.parametrize("argv", _SEQUENCE_COMMANDS, ids=["askim", "tskim", "greedy"])
 def test_negative_seed_count_exits_2(edges_file, capsys, argv):
     # each used to print the CSV header alone and exit 0
     rc = main([*argv, "--edges", edges_file, "--ell", "2", "--seeds", "-2"])
     captured = capsys.readouterr()
     assert rc == 2 and "seed count" in captured.err and captured.err.count("\n") == 1 and not captured.out
+
+
+@pytest.mark.parametrize("argv", _SEQUENCE_COMMANDS, ids=["askim", "tskim", "greedy"])
+def test_seed_count_above_n_exits_2(tmp_path, capsys, argv):
+    # alpha-SKIM capped the count at n and exited 0
+    edges = tmp_path / "cycle.txt"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    rc = main([*argv, "--edges", str(edges), "--ell", "2", "--seeds", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and "seed count must be in [0, 4]" in captured.err and captured.err.count("\n") == 1
+    assert not captured.out
+
+
+_GRAPH_COMMANDS = {
+    "oracle-build": ["oracle", "build", "--k", "4", "--out", "sk.bin"],
+    "oracle-build-threshold": ["oracle", "build", "--k", "4", "--threshold", "1.5", "--out", "tsk.bin"],
+    "im-threshold": ["im", "threshold", "--T", "1.0", "--k", "4", "--seeds", "0"],
+    "im-alpha": ["im", "alpha", "--decay", "exp:10", "--k", "4", "--seeds", "0"],
+    "greedy-exact": ["greedy", "exact", "--decay", "exp:1", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--edges", "empty.txt", "--out", "g.npz"], id="gen-edges"),
+    pytest.param(["eval", "--edges", "empty.txt", "--m", "2", "--decay", "exp:1", "--seeds-file", "seeds.txt"],
+                 id="eval-edges"),
+    *(pytest.param([*cmd, "--edges", "empty.txt", "--ell", "2"], id=f"{name}-edges")
+      for name, cmd in _GRAPH_COMMANDS.items()),
+    *(pytest.param([*cmd, "--graph", "empty.npz"], id=f"{name}-cache") for name, cmd in _GRAPH_COMMANDS.items()),
+])
+def test_graph_without_nodes_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # an edge list with no edge lines made an n=0 cache, which failed later with
+    # a message about ranks or seed counts
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text("# no edges\n\n")
+    (tmp_path / "seeds.txt").write_text("")
+    np.savez(tmp_path / "empty.npz", n=np.int64(0), tails=np.zeros(0, np.int64), heads=np.zeros(0, np.int64),
+             weights=np.ones((1, 0)), labels=np.array([], dtype="U1"))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    message = "at least one node, got n=0" if "empty.npz" in argv else "empty.txt: no edges"
+    assert rc == 2 and message in captured.err and captured.err.count("\n") == 1 and not captured.out
 
 
 def test_bench_subcommand_is_gone(edges_file, capsys):

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from distinf import (
     run_pps_im,
     run_threshold_im,
 )
+from distinf import pps_im
 from distinf.pps_im import PPSState, _scan_limits
 
 from bruteforce import bf_all_pairs, check_pps_state, pps_estimate_bf, random_graph, small_graphs
@@ -67,11 +69,11 @@ def test_resume_without_tau_change_is_noop():
     state = PPSState(g, make_harmonic(1), k=4, seed=0)
     for _ in range(4):
         state.lower_tau()
-    snap = {k: list(v) for k, v in state.index.items()}
+    snap = [None if lst is None else list(lst) for lst in state.index]
     est = state.est_h.copy()
     state.resume_sampling()
     assert est == pytest.approx(state.est_h)
-    assert snap == {k: list(v) for k, v in state.index.items()}
+    assert snap == state.index
 
 
 def test_tau_to_zero_recovers_exact_influence():
@@ -80,7 +82,7 @@ def test_tau_to_zero_recovers_exact_influence():
     state = PPSState(g, alpha, k=4, seed=1)
     for _ in range(60):
         state.lower_tau()
-    assert all(p == -INF for row in state.pair_prio for p in row)  # every reverse search ran to exhaustion
+    assert all(p == -INF for p in state.pair_prio)  # every reverse search ran to exhaustion
     assert sum(state.est_m) == 0 or state.tau < 1e-12
     got = [state.node_estimate(u) / g.ell for u in range(3)]
     want = [influence_exact(g, [u], alpha) for u in range(3)]
@@ -99,20 +101,21 @@ def test_sample_complete_at_every_pause():
             state.lower_tau()
             for i in range(g.ell):
                 for v in range(g.n):
-                    ad = state.alpha_delta[i][v]
-                    r = state.rank_norm[i][v]
+                    pid = v * g.ell + i
+                    ad = state.alpha_delta[pid]
+                    r = state.rank_norm[pid]
                     for u in range(g.n):
                         d = dists[i][u, v]
                         if d == INF:
                             continue
                         delta_c = alpha.fn(d) - ad
                         if delta_c > 0 and delta_c / r >= state.tau:
-                            lst = state.index.get((v, i), [])
+                            lst = state.index[pid] or []
                             pos = next(
                                 (p for p, e in enumerate(lst) if e[0] == u), None
                             )
                             assert pos is not None, (v, i, u)
-                            assert pos < state.ml[(v, i)]
+                            assert pos < state.ml[pid]
 
 
 @pytest.mark.parametrize("alpha", [make_threshold(2.0), make_exponential(2), make_harmonic(1)], ids=lambda a: a.name)
@@ -135,9 +138,13 @@ def test_scan_limits_bound_the_pause_rule(alpha):
 
 
 def test_pair_queued_twice_resumes_once():
-    # a pair with two valid queue entries is searched and scanned once
+    # a pair with two valid queue entries is searched and scanned once; the
+    # queue starts empty, so the duplicate is of the first paused pair
     g = random_graph(20, 3, seed=3, ell=2)
     states = [PPSState(g, make_harmonic(1), k=4, seed=0) for _ in range(2)]
+    for state in states:
+        while not state.q_pairs:
+            state.lower_tau()
     heapq.heappush(states[1].q_pairs, states[1].q_pairs[0])
     for _ in range(6):
         for state in states:
@@ -147,6 +154,49 @@ def test_pair_queued_twice_resumes_once():
     assert (a.cursor_scans, a.pairs_searched, a.ball_entries) == (b.cursor_scans, b.pairs_searched, b.ball_entries)
 
 
+def test_resume_searches_due_pairs_in_priority_order(monkeypatch):
+    # each resume_sampling call searches exactly the live pairs whose priority
+    # is at least tau, by (-priority, v, i), whether they wait in the rank-order
+    # stream (perhaps lowered by a commit) or in the pair queue
+    searched = []
+    real = pps_im.reverse_balls
+    monkeypatch.setattr(pps_im, "reverse_balls",
+                        lambda g, inst, src, limit: searched.append(list(zip(src.tolist(), inst.tolist())))
+                        or real(g, inst, src, limit))
+    seen = {"lowered": 0, "terminated": 0, "queue ahead of stream": 0}
+    rng = np.random.default_rng(3)
+    for trial in range(6):
+        g = random_graph(30, 3, seed=trial, ell=3)
+        alpha = [make_harmonic(1), make_exponential(2), make_threshold(0.8)][trial % 3]
+        state = PPSState(g, alpha, k=4, seed=trial)
+        real_resume = state.resume_sampling
+
+        def resume():
+            ell = g.ell
+            waiting = set(state.stream[state.stream_at:].tolist())
+            prio = list(state.pair_prio)
+            want = sorted((-p, pid) for pid, p in enumerate(prio) if p > -INF and p >= state.tau)
+            seen["lowered"] += sum(pid in waiting and -negp < alpha.alpha0 / state.rank_norm[pid] for negp, pid in want)
+            seen["terminated"] += sum(pid in waiting and p == -INF for pid, p in enumerate(prio))
+            from_queue = [pid not in waiting for _, pid in want]
+            seen["queue ahead of stream"] += any(q and not later for q, later in zip(from_queue, from_queue[1:]))
+            searched.clear()
+            real_resume()
+            assert searched == ([[divmod(pid, ell) for _, pid in want]] if want else [])
+
+        state.resume_sampling = resume
+        for step in range(30):
+            op = rng.random()
+            if op < 0.5:
+                state.lower_tau()
+            elif op < 0.7:
+                state.resume_sampling()
+            else:
+                free = [u for u in range(g.n) if not state.is_seed[u]]
+                state.commit_seed(int(rng.choice(free)))
+    assert all(seen.values()), seen
+
+
 def test_pair_terminated_when_contribution_nonpositive():
     g = line_graph()
     state = PPSState(g, make_harmonic(1), k=2, seed=0)
@@ -154,7 +204,7 @@ def test_pair_terminated_when_contribution_nonpositive():
     # pair (a, 0) now has delta 0: nothing can contribute through it
     for _ in range(30):
         state.lower_tau()
-    assert state.pair_prio[0][0] == -INF
+    assert state.pair_prio[0] == -INF  # pair (a, 0)
 
 
 def test_commit_seed_line_graph():
@@ -192,6 +242,23 @@ def test_estimator_concentration_fixed_residual():
     assert abs(arr.mean() - total) <= 3 * arr.std(ddof=1) / math.sqrt(300)
 
 
+def test_state_at_init_under_170_bytes_per_pair():
+    # a heap of one (-p, v, i) tuple per pair held about 213 B per pair; flat
+    # per-pair lists and the stream's pid array hold about 130 (tracemalloc,
+    # CPython 3.11, 64-bit)
+    g = random_graph(1000, 4, seed=5, ell=16)
+    alpha = make_exponential(10)
+    PPSState(line_graph(), alpha, k=4)  # imports outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = PPSState(g, alpha, k=64)  # alive through the measurement
+        per_pair = (tracemalloc.get_traced_memory()[0] - before) / (g.n * g.ell)
+    finally:
+        tracemalloc.stop()
+    assert per_pair < 170, per_pair
+
+
 @st.composite
 def pps_cases(draw):
     g = draw(small_graphs(max_n=8, loops=True, missing=True))
@@ -214,10 +281,10 @@ def _check_scans(state, dists):
     for i in range(state.g.ell):
         for v in range(state.g.n):
             order = sorted((d, u) for u, d in enumerate(dists[i][:, v]) if d < INF)
-            lst = state.index.get((v, i), [])
+            lst = state.index[v * state.g.ell + i] or []
             assert [u for u, _, _ in lst] == [u for _, u in order[: len(lst)]], (v, i)
             assert [d for _, d, _ in lst] == pytest.approx([d for d, _ in order[: len(lst)]], rel=1e-12)
-            if state.pair_prio[i][v] > -INF:
+            if state.pair_prio[v * state.g.ell + i] > -INF:
                 assert state.next_scan(v, i) == pytest.approx(order[len(lst)][0], rel=1e-12), (v, i)
 
 
