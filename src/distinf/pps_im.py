@@ -21,20 +21,22 @@ distance.  `resume_sampling` searches every due pair from its source with
 one `graph.reverse_balls` call, bounded where its pause rule must stop at the
 fixed tau, and each pair replays its ball past the nodes it has scanned.
 
-The loops touch one cell at a time, so the per-cell state (estimates, pair
-priorities, cached alpha(delta), ranks, seed flags) is kept in Python lists:
-a Python float read or write costs a fraction of a numpy scalar access, and
-heap keys compare as Python floats.  Pair (v, i) is the one integer
-pid = v * ell + i, which orders pairs as (v, i) does; the per-pair lists are
-flat and indexed by pid.  The residual `delta` stays an (ell, n) array
-because `residual_update` and the exact check read it whole.
+Pair (v, i) is the one integer pid = v * ell + i, which orders pairs as
+(v, i) does.  Every per-pair quantity is a numpy array indexed by pid, and
+the index is three flat entry columns (node, distance, alpha(distance)) in
+which each pair owns one segment.  A tau step, a resume and a seed commit
+each update all the pairs they concern with a few array operations: the due
+pairs and the pairs to promote are masks of the priority and
+reclassification arrays, visited in the order their queues would pop them,
+(-priority, pid) and (-tau, pid), so that every sum is formed in the same
+order and every float is bit for bit the same.  Only the candidate queue is
+a heap, pushed once per touched node per step.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -66,24 +68,27 @@ def _scan_limits(alpha: DecayFunction, ad: np.ndarray, r: np.ndarray, tau: float
     return lo.view(np.float64)
 
 
+def _spans(length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of the given lengths laid end to end, each element's
+    segment j and its position k within the segment."""
+    j = np.repeat(np.arange(length.size), length)
+    return j, np.arange(j.size) - (np.cumsum(length) - length)[j]
+
+
 class PPSState:
-    """Sampling threshold, residual distances, inverted sample index, and the
-    three lazy priority queues.
+    """Sampling threshold, residual distances, inverted sample index, and
+    the candidate queue.
 
-    Per-pair state sits in flat lists of length n * ell indexed by
-    pid = v * ell + i.  Index lists hold (node, distance, alpha(distance)) in
-    reverse-Dijkstra scan order; `hm[pid]` is the count of H entries and
-    `ml[pid]` the count of H plus M entries, so positions < hm are H,
-    positions in [hm, ml) are M, and positions >= ml are L.  Entries with
-    non-positive contribution are trimmed and never return.  `index[pid]` is
-    None until the pair has scanned its own node, and `next_dist` holds the
-    distance of a live pair's next scan.
-
-    Pairs never searched wait in `stream`, their pids sorted by
-    (-initial priority, pid), of which the first `stream_at` have been taken;
-    `q_pairs` holds (-priority, pid) entries of paused pairs and of stream
-    pairs whose priority a commit lowered.  Together they pop as one heap of
-    every pair would, ties included.
+    Per-pair state sits in numpy arrays of length n * ell indexed by
+    pid = v * ell + i.  Pair pid's index entries are positions
+    start[pid] + [0, length[pid]) of the entry columns `node`, `dist` and
+    `value` = alpha(dist), in reverse-Dijkstra scan order; `hm[pid]` is the
+    count of H entries and `ml[pid]` the count of H plus M entries, so
+    positions < hm are H, positions in [hm, ml) are M, and positions >= ml are
+    L.  Entries with non-positive contribution are trimmed and never return.
+    A live pair (`pair_prio` > -inf) scans its next node at `next_dist`,
+    whose alpha is cached in `next_alpha`; `reclass` holds the tau at which
+    the pair's first entry changes class.
     """
 
     def __init__(
@@ -110,31 +115,27 @@ class PPSState:
         self.eps = eps  # adaptive accuracy; None for fixed-k selection
         n, ell, cells = g.n, g.ell, g.n * g.ell
         ranks = structured_ranks(n, ell, ell, seed)  # ell blocks: every pair is ranked
-        rank_norm = (ranks.rank / ranks.norm).ravel()  # by pid
-        self.rank_norm = rank_norm.tolist()
+        self.rank_norm = (ranks.rank / ranks.norm).ravel()  # by pid
         self.delta = np.full((ell, n), INF)
-        self.alpha_delta = [0.0] * cells  # alpha(delta), cached
-        self.est_h = [0.0] * n
-        self.est_m = [0] * n
-        self.next_dist = [0.0] * cells
-        self.index: list[list[tuple[int, float, float]] | None] = [None] * cells
-        self.hm = [0] * cells
-        self.ml = [0] * cells
+        self.alpha_delta = np.zeros(cells)  # alpha(delta), cached
+        self.est_h = np.zeros(n)
+        self.est_m = np.zeros(n, np.int64)
+        self.next_dist = np.zeros(cells)
+        self.next_alpha = np.full(cells, alpha.fn(0.0))
+        self.start = np.zeros(cells, np.int64)
+        self.length, self.hm, self.ml = (np.zeros(cells, np.int32) for _ in range(3))
+        self.reclass = np.full(cells, -INF)
+        self.node, self.dist, self.value = np.zeros(0, np.int32), np.zeros(0), np.zeros(0)
+        self.used = 0  # entry-column cells written; segments left behind by a move sit among them
         a0 = alpha.alpha0
         self.tau = tau0 if tau0 is not None else a0 * n * ell / (2 * k)
         if not self.tau > 0:
             raise ValueError("tau0 must be positive")
         # Pair priorities: the sampling threshold at which the pair's reverse
         # Dijkstra would admit its next scanned node.  They only decrease.
-        prio = a0 / rank_norm
-        self.pair_prio = prio.tolist()
-        self.stream = np.argsort(-prio, kind="stable")
-        self.stream_at = 0
-        self.q_pairs: list[tuple[float, int]] = []
+        self.pair_prio = a0 / self.rank_norm
         self.q_cands: list[tuple[float, int]] = []
-        self.queued = [-INF] * n  # per node, its last key pushed to q_cands; -inf once popped
-        self.q_hml: list[tuple[float, int]] = []
-        self.reclass = [-INF] * cells
+        self.queued = np.full(n, -INF)  # per node, its last key pushed to q_cands; -inf once popped
         self.is_seed = [False] * n
         self.seeds: list[int] = []
         self.coverage = 0.0
@@ -152,69 +153,76 @@ class PPSState:
 
     def node_estimate(self, u: int) -> float:
         """Current sample estimate of u's marginal influence, unnormalized."""
-        return self.est_h[u] + self.tau * self.est_m[u]
+        return float(self.est_h[u] + self.tau * self.est_m[u])
 
-    def _touch_candidate(self, u: int) -> None:
-        # prompt priority refresh: required whenever the estimate may increase;
-        # unless it rises above `queued[u]`, an entry at least as high is queued
-        est = self.node_estimate(u)
-        if est > self.queued[u]:
-            heapq.heappush(self.q_cands, (-est, u))
-            self.queued[u] = est
+    def _touch(self, nodes: np.ndarray) -> None:
+        """Prompt priority refresh after a step that may raise the estimates of
+        `nodes`: a node is queued, once, at its estimate after the step if that
+        rose above `queued[u]`; otherwise an entry at least as high is queued."""
+        u = np.unique(nodes)
+        est = self.est_h[u] + self.tau * self.est_m[u]
+        rose = est > self.queued[u]
+        self.queued[u[rose]] = est[rose]
+        for entry in zip((-est[rose]).tolist(), u[rose].tolist()):
+            heapq.heappush(self.q_cands, entry)
 
     # ------------------------------------------------------------------ #
-    # reclassification queue
+    # index segments and reclassification
 
-    def _update_reclass(self, pid: int) -> None:
-        """Recompute the tau at which the pair's first reclassification occurs
-        (from the entries at the HM and ML boundaries) and requeue it."""
-        lst = self.index[pid]
-        hm, ml = self.hm[pid], self.ml[pid]
-        ad = self.alpha_delta[pid]
-        t = -INF
-        if hm < ml:
-            t = lst[hm][2] - ad  # first M entry turns H at tau <= c
-        if ml < len(lst):
-            t = max(t, (lst[ml][2] - ad) / self.rank_norm[pid])  # first L entry turns M at tau <= c / r
-        self.reclass[pid] = t
-        if t > 0:
-            heapq.heappush(self.q_hml, (-t, pid))
+    def _segments(self, pids: np.ndarray, length: np.ndarray) -> None:
+        """Move `pids` to fresh segments of `length` entries after the used part
+        of the entry columns, their old entries first.  When the columns are
+        full, the live segments are first packed into columns with room for
+        twice them and the new ones."""
+        need = int(length.sum())
+        if self.used + need > self.node.size:
+            j, k = _spans(self.length)
+            pos = self.start[j] + k
+            self.start = np.cumsum(self.length, dtype=np.int64) - self.length
+            self.used, size = pos.size, 2 * (pos.size + need)
+            self.node, self.dist, self.value = (
+                np.concatenate([col[pos], np.zeros(size - pos.size, col.dtype)])
+                for col in (self.node, self.dist, self.value))
+        fresh = self.used + np.cumsum(length) - length
+        self.used += need
+        j, k = _spans(self.length[pids])
+        for col in (self.node, self.dist, self.value):
+            col[fresh[j] + k] = col[self.start[pids][j] + k]
+        self.start[pids], self.length[pids] = fresh, length
+
+    def _reclass(self, pids: np.ndarray, ad: np.ndarray) -> None:
+        """Recompute, at residual values ad, the tau at which each pair's first
+        reclassification occurs: its first M entry turns H at tau <= c, its
+        first L entry turns M at tau <= c / r."""
+        hm, ml, s, top = self.hm[pids], self.ml[pids], self.start[pids], self.value.size - 1
+        t = np.where(hm < ml, self.value[np.minimum(s + hm, top)] - ad, -INF)
+        first_l = (self.value[np.minimum(s + ml, top)] - ad) / self.rank_norm[pids]
+        self.reclass[pids] = np.where(ml < self.length[pids], np.maximum(t, first_l), t)
 
     def _move_up(self) -> None:
-        """Promote entries after a tau decrease: L to M or H, M to H."""
+        """Promote entries after a tau decrease: L to M or H, M to H.  The
+        pairs whose reclassification tau is reached are visited in
+        (-reclass, pid) order; their H boundary moves to the first entry whose
+        contribution falls below tau, their M boundary to the first below r * tau."""
         tau = self.tau
-        est_h, est_m = self.est_h, self.est_m
-        while self.q_hml:
-            negt, pid = self.q_hml[0]
-            t = -negt
-            if self.reclass[pid] != t:
-                heapq.heappop(self.q_hml)  # stale; current value was re-pushed
-                continue
-            if t < tau:
-                break
-            heapq.heappop(self.q_hml)
-            lst = self.index[pid]
-            ad = self.alpha_delta[pid]
-            r = self.rank_norm[pid]
-            old_hm, old_ml = self.hm[pid], self.ml[pid]
-            # first entry whose contribution alpha(d) - ad falls below tau; the key
-            # ad - alpha(d) is its exact negation, so the boundary matches per-entry checks
-            new_hm = bisect_right(lst, -tau, lo=old_hm, key=lambda e: ad - e[2])
-            for p in range(old_hm, new_hm):
-                u = lst[p][0]
-                if p < old_ml:
-                    est_m[u] -= 1
-                est_h[u] += lst[p][2] - ad
-                self._touch_candidate(u)
-            lo = max(old_ml, new_hm)
-            new_ml = bisect_right(lst, -(r * tau), lo=lo, key=lambda e: ad - e[2])
-            for p in range(lo, new_ml):
-                u = lst[p][0]
-                est_m[u] += 1
-                self._touch_candidate(u)
-            self.hm[pid] = new_hm
-            self.ml[pid] = max(new_ml, new_hm)
-            self._update_reclass(pid)
+        up = np.flatnonzero(self.reclass >= tau)
+        if not up.size:
+            return
+        up = up[np.lexsort((up, -self.reclass[up]))]
+        ad, r, hm, ml = self.alpha_delta[up], self.rank_norm[up], self.hm[up], self.ml[up]
+        j, k = _spans(self.length[up] - hm)  # the M and L entries
+        k += hm[j]
+        pos = self.start[up][j] + k
+        u, c = self.node[pos], self.value[pos] - ad[j]
+        new_hm = hm + np.bincount(j[c >= tau], minlength=up.size)
+        lo = np.maximum(ml, new_hm)
+        new_ml = lo + np.bincount(j[(k >= lo[j]) & (c >= r[j] * tau)], minlength=up.size)
+        to_h, to_m = k < new_hm[j], (k >= lo[j]) & (k < new_ml[j])
+        np.add.at(self.est_h, u[to_h], c[to_h])
+        np.add.at(self.est_m, u, to_m.astype(np.int64) - (to_h & (k < ml[j])))
+        self.hm[up], self.ml[up] = new_hm, new_ml
+        self._reclass(up, ad)
+        self._touch(u[to_h | to_m])
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -222,85 +230,64 @@ class PPSState:
     def next_scan(self, v: int, i: int) -> float:
         """Distance at which live pair (v, i) scans its next node: 0 before it
         scans its own node; inf when nothing is left to scan."""
-        return self.next_dist[v * self.g.ell + i]
+        return float(self.next_dist[v * self.g.ell + i])
 
     def resume_sampling(self) -> None:
         """Resume every paused reverse search whose priority has reached tau.
 
-        The due pairs leave the stream (its due prefix by one bisection) and
-        `q_pairs` first, each once and in (-priority, pid) order: resuming
-        one pair changes no other pair's priority.  One `reverse_balls` call
-        then searches all of them from their sources, each within its
-        `_scan_limits` bound.  In the same order, each pair scans its ball
-        past the entries already in its index until the pause rule holds
-        again, at a ball entry or at the distance past the ball."""
-        tau, fn, prio, ell = self.tau, self.alpha.fn, self.pair_prio, self.g.ell
-        est_h, est_m, hm, ml, index = self.est_h, self.est_m, self.hm, self.ml, self.index
-        alpha_delta, rank_norm, q = self.alpha_delta, self.rank_norm, self.q_pairs
-        a0, at = self.alpha.alpha0, self.stream_at
-        end = self.stream_at = bisect_right(self.stream, -tau, lo=at, key=lambda pid: -a0 / rank_norm[pid])
-        fresh = []  # stream entries still at their initial priority
-        for pid in self.stream[at:end].tolist():
-            p0, cur = a0 / rank_norm[pid], prio[pid]
-            if cur == p0:
-                fresh.append((-p0, pid))
-            elif cur > 0:
-                heapq.heappush(q, (-cur, pid))  # lowered by a commit
-        taken = []
-        while q and -q[0][0] >= tau:  # stored priorities are upper bounds
-            negp, pid = q[0]
-            cur = prio[pid]
-            if cur == -negp:
-                prio[pid] = -INF  # taken: another entry of the pair is now stale; the replay sets it
-                taken.append(heapq.heappop(q))
-            elif cur > 0:
-                heapq.heapreplace(q, (-cur, pid))  # stale entry
-            else:
-                heapq.heappop(q)
-        due = [pid for _, pid in sorted(fresh + taken)]
-        if not due:
+        The due pairs are the live pairs with priority >= tau, in
+        (-priority, pid) order: resuming one pair changes no other pair's
+        priority.  One `reverse_balls` call searches all of them from their
+        sources, each within its `_scan_limits` bound.  Each pair scans its
+        ball past the entries already in its index until the pause rule holds
+        again, at a ball entry or at the distance past the ball; the scanned
+        entries add to the estimates in that order."""
+        tau, prio, ell = self.tau, self.pair_prio, self.g.ell
+        due = np.flatnonzero(prio >= tau)
+        if not due.size:
             return
-        src, inst = np.divmod(np.array(due), ell)
-        ad, r = (np.array([cells[pid] for pid in due]) for cells in (alpha_delta, rank_norm))
+        due = due[np.lexsort((due, -prio[due]))]
+        ad, r, have = self.alpha_delta[due], self.rank_norm[due], self.length[due]
+        src, inst = np.divmod(due, ell)
         row, node, dist = reverse_balls(self.g, inst, src, _scan_limits(self.alpha, ad, r, tau))
-        past = past_balls(self.g, inst, row, node, dist).tolist()
-        start = np.searchsorted(row, np.arange(len(due) + 1)).tolist()
-        self.pairs_searched += len(due)
+        past = past_balls(self.g, inst, row, node, dist)
+        start = np.searchsorted(row, np.arange(due.size + 1))
+        self.pairs_searched += due.size
         self.ball_entries += node.size
-        node, dist = node.tolist(), dist.tolist()
-        for j, pid in enumerate(due):
-            ad, r, lst = alpha_delta[pid], rank_norm[pid], index[pid]
-            a, b = start[j] + len(lst or ()), start[j + 1]
-            for u, d in zip([*node[a:b], None], [*dist[a:b], past[j]]):
-                a_d = fn(d)
-                c = a_d - ad
-                if c <= 0:
-                    prio[pid] = -INF  # terminated for good; alpha(inf) = 0 covers an exhausted search
-                    break
-                p = c / r
-                if p < tau:
-                    prio[pid] = p  # pause
-                    self.next_dist[pid] = d
-                    heapq.heappush(q, (-p, pid))
-                    break
-                if u is None:
-                    v, i = divmod(pid, ell)
-                    raise RuntimeError(f"the scan limit of pair {(v, i)} cut off a distance its pause rule admits")
-                if lst is None:  # the pair's own node, at distance 0
-                    lst = index[pid] = []
-                self.cursor_scans += 1
-                lst.append((u, d, a_d))
-                if c >= tau:
-                    est_h[u] += c
-                    hm[pid] += 1
-                    ml[pid] += 1
-                else:
-                    est_m[u] += 1
-                    first_m = ml[pid] == hm[pid] == len(lst) - 1
-                    ml[pid] += 1
-                    if first_m:
-                        self._update_reclass(pid)
-                self._touch_candidate(u)
+        # per pair, its ball entries past its index, then the distance past its ball
+        ext = start[1:] - start[:-1] - have
+        j, k = _spans(ext + 1)
+        pos = np.minimum(start[:-1][j] + have[j] + k, node.size - 1)
+        d = np.where(k == ext[j], past[j], dist[pos])
+        a_d = np.fromiter(map(self.alpha.fn, d.tolist()), np.float64, d.size)
+        c = a_d - ad[j]
+        p = c / r[j]
+        hit = np.flatnonzero((c <= 0) | (p < tau))
+        offs = np.flatnonzero(k == 0)
+        first = np.append(hit, d.size)[np.searchsorted(hit, offs)]  # each pair's stop
+        if np.any(short := first >= np.append(offs[1:], d.size)):
+            v, i = divmod(int(due[np.argmax(short)]), ell)
+            raise RuntimeError(f"the scan limit of pair {(v, i)} cut off a distance its pause rule admits")
+        paused = c[first] > 0  # the others are terminated for good; alpha(inf) = 0 covers an exhausted search
+        prio[due] = np.where(paused, p[first], -INF)
+        self.next_dist[due[paused]], self.next_alpha[due[paused]] = d[first[paused]], a_d[first[paused]]
+        scans = first - offs
+        s = k < scans[j]
+        j, k, u, c, d, a_d = j[s], k[s], node[pos[s]], c[s], d[s], a_d[s]
+        h = c >= tau
+        np.add.at(self.est_h, u[h], c[h])
+        np.add.at(self.est_m, u[~h], 1)
+        self.cursor_scans += j.size
+        h_scans = np.bincount(j[h], minlength=due.size)
+        first_m = due[(self.ml[due] == have) & (self.hm[due] == have) & (scans > h_scans)]
+        self.hm[due] += h_scans
+        self.ml[due] += scans
+        grew = due[scans > 0]
+        self._segments(grew, self.length[grew] + scans[scans > 0])
+        at = self.start[due][j] + have[j] + k
+        self.node[at], self.dist[at], self.value[at] = u, d, a_d
+        self._reclass(first_m, self.alpha_delta[first_m])  # later M entries do not move a pair's first one
+        self._touch(u)
 
     def lower_tau(self) -> None:
         """One threshold step: scale tau down, promote entries, extend samples."""
@@ -330,8 +317,9 @@ class PPSState:
             heapq.heappop(self.q_cands)
             self.queued[u] = -INF  # that was u's highest entry; its next rise queues again
             if not valid:
-                if not self.is_seed[u] and live > 0:
-                    self._touch_candidate(u)  # requeued at live, as nothing of u is queued
+                if not self.is_seed[u] and live > 0:  # requeued at live, as nothing of u is queued
+                    heapq.heappush(self.q_cands, (-live, u))
+                    self.queued[u] = live
                 continue
             if self.eps is not None:
                 # unnormalized, like the estimate: x / ell * ell is not always x
@@ -346,57 +334,42 @@ class PPSState:
     # ------------------------------------------------------------------ #
     # committing a seed
 
-    def _move_down(self, pid: int, lst: list, new_ad: float) -> None:
-        """Demote the index entries of one pair after its residual distance drops.
-
-        Every entry's contribution shrinks by the same amount, so the H/M/L
-        boundaries only move left, the tail with non-positive contribution is
-        cut, and kept H entries adjust their sums in place.
-        """
-        old_ad = self.alpha_delta[pid]
-        shift = old_ad - new_ad  # <= 0
-        tau = self.tau
-        r = self.rank_norm[pid]
-        est_h, est_m = self.est_h, self.est_m
-        old_hm, old_ml = self.hm[pid], self.ml[pid]
-        cut = bisect_left(lst, -new_ad, key=lambda e: -e[2])  # first entry with alpha(d) <= new_ad
-        new_hm = min(bisect_right(lst, -tau, key=lambda e: new_ad - e[2]), cut)
-        new_ml = min(bisect_right(lst, -(r * tau), lo=new_hm, key=lambda e: new_ad - e[2]), cut)
-        for p in range(new_hm):
-            est_h[lst[p][0]] += shift
-        for p in range(new_hm, old_hm):
-            u, _, a_d = lst[p]
-            est_h[u] -= a_d - old_ad
-            if p < new_ml:
-                est_m[u] += 1
-        for p in range(max(old_hm, new_ml), old_ml):
-            est_m[lst[p][0]] -= 1
-        del lst[cut:]
-        self.hm[pid] = new_hm
-        self.ml[pid] = new_ml
-        self._update_reclass(pid)
-
     def commit_seed(self, x: int, estimate: float | None = None) -> float:
-        """Make x a seed: every residual distance it improves demotes samples,
-        lowers the pair's priority, and adds to the exact marginal, pair by
-        pair in per-instance Dijkstra order.  Cells of terminated pairs with
-        no index entries only add to the marginal."""
+        """Make x a seed: every residual distance it improves lowers its pair's
+        priority and demotes the pair's index entries.  Each entry's
+        contribution shrinks by the same amount, so the H/M/L boundaries only
+        move left, the tail with non-positive contribution is cut, and kept H
+        entries adjust their sums in place.  Pairs are visited, and the
+        exact marginal is summed, in per-instance Dijkstra order."""
         if self.is_seed[x]:
             raise ValueError(f"node {x} is already a seed")
-        g, fn = self.g, self.alpha.fn
-        alpha_delta, prio, index, next_dist = self.alpha_delta, self.pair_prio, self.index, self.next_dist
+        g, tau, prio = self.g, self.tau, self.pair_prio
         inst, node, _, new = residual_update(g, self.delta, x, self.alpha.support_bound)
-        gain_total = 0.0
-        for pid, d in zip((node * g.ell + inst).tolist(), new.tolist()):
-            a_d = fn(d)
-            gain_total += a_d - alpha_delta[pid]
-            if prio[pid] > -INF:
-                new_p = (fn(next_dist[pid]) - a_d) / self.rank_norm[pid]
-                prio[pid] = -INF if new_p <= 0 else new_p  # terminated for good, or lowered lazily: fixed up on pop
-            lst = index[pid]
-            if lst:
-                self._move_down(pid, lst, a_d)
-            alpha_delta[pid] = a_d
+        cells = node * g.ell + inst
+        a_d = np.fromiter(map(self.alpha.fn, new.tolist()), np.float64, new.size)
+        old = self.alpha_delta[cells]
+        gains = np.cumsum(a_d - old)  # in sequence, as one running sum
+        gain_total = float(gains[-1]) if gains.size else 0.0
+        live = prio[cells] > -INF
+        new_p = (self.next_alpha[cells[live]] - a_d[live]) / self.rank_norm[cells[live]]
+        prio[cells[live]] = np.where(new_p <= 0, -INF, new_p)  # terminated for good, or lowered
+        has = self.length[cells] > 0
+        pids, new_ad, old_ad = cells[has], a_d[has], old[has]
+        hm, ml, r = self.hm[pids], self.ml[pids], self.rank_norm[pids]
+        j, k = _spans(self.length[pids])
+        pos = self.start[pids][j] + k
+        u, value = self.node[pos], self.value[pos]
+        c = value - new_ad[j]
+        cut = np.bincount(j[value > new_ad[j]], minlength=pids.size)  # the entries still contributing
+        new_hm = np.minimum(np.bincount(j[c >= tau], minlength=pids.size), cut)
+        new_ml = np.minimum(np.maximum(np.bincount(j[c >= r[j] * tau], minlength=pids.size), new_hm), cut)
+        kh = k < hm[j]
+        np.add.at(self.est_h, u[kh], np.where(k < new_hm[j], (old_ad - new_ad)[j], old_ad[j] - value)[kh])
+        demoted = (k >= new_hm[j]) & kh & (k < new_ml[j])
+        np.add.at(self.est_m, u, demoted.astype(np.int64) - ((k >= np.maximum(hm, new_ml)[j]) & (k < ml[j])))
+        self.length[pids], self.hm[pids], self.ml[pids] = cut, new_hm, new_ml
+        self._reclass(pids, old_ad)  # an upper bound, as the pre-commit contributions were larger
+        self.alpha_delta[cells] = a_d
         self.delta[inst, node] = new
         self.delta_update_count += len(inst)
         self.is_seed[x] = True

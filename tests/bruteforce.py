@@ -338,21 +338,27 @@ def small_graphs(draw, max_n=10, loops=False, missing=False):
     return MultiInstanceGraph.from_arrays(n, [t for t, _ in edges], [h for _, h in edges], weights)
 
 
+def pps_index(state, pid):
+    """Index entries (node, distance, alpha(distance)) of a sampling state's
+    pair pid, in scan order."""
+    seg = slice(state.start[pid], state.start[pid] + state.length[pid])
+    return list(zip(state.node[seg].tolist(), state.dist[seg].tolist(), state.value[seg].tolist()))
+
+
 def rescan_pps_state(state):
     """Recompute H/M/L classes, boundary positions, and estimate sums of a
-    sampling state from its index lists against the current tau, residual
+    sampling state from its index segments against the current tau, residual
     distances, and ranks."""
     est_h = np.zeros(state.g.n)
     est_m = np.zeros(state.g.n, dtype=np.int64)
-    hm, ml = [0] * len(state.index), [0] * len(state.index)
-    for pid, lst in enumerate(state.index):
-        if lst is None:
-            continue
+    pairs = state.g.n * state.g.ell
+    hm, ml = [0] * pairs, [0] * pairs
+    for pid in range(pairs):
         ad = state.alpha_delta[pid]
         r = state.rank_norm[pid]
         n_h = n_m = 0
         prev = INF
-        for u, d, a_d in lst:
+        for u, d, a_d in pps_index(state, pid):
             c = a_d - ad
             assert c > 0, "trimmed tail must stay trimmed"
             assert a_d <= prev + 1e-15, "scan order must be non-increasing in value"
@@ -370,22 +376,31 @@ def rescan_pps_state(state):
 
 def check_pps_state(state):
     """Full-rescan consistency: incremental state must match a from-scratch
-    reclassification, and the stored priority of every live pair (never
-    started, or paused at its stored next scan distance) must stay an upper
-    bound, held by an entry of the never-searched stream or of the pair queue."""
+    reclassification; index segments must be disjoint and inside the written
+    part of the entry columns; every pair's reclassification tau must bound
+    the tau at which its first M or L entry changes class, so that a tau step
+    visits it; and the stored priority of every live pair (never started, or
+    paused at its stored next scan distance, whose cached alpha it holds) must
+    stay an upper bound."""
     est_h, est_m, hm, ml = rescan_pps_state(state)
-    assert hm == state.hm
-    assert ml == state.ml
+    assert hm == state.hm.tolist()
+    assert ml == state.ml.tolist()
     assert np.array_equal(est_m, state.est_m)
     np.testing.assert_allclose(est_h, state.est_h, rtol=1e-9, atol=1e-12)
-    waiting = {pid: state.alpha.alpha0 / state.rank_norm[pid] for pid in state.stream[state.stream_at:].tolist()}
-    queued = {}
-    for negp, pid in state.q_pairs:
-        queued[pid] = max(queued.get(pid, -INF), -negp)
-    for pid, p in enumerate(state.pair_prio):
+    held = np.flatnonzero(state.length)
+    held = held[np.argsort(state.start[held])]
+    ends = state.start[held] + state.length[held]
+    assert np.all(ends[:-1] <= state.start[held][1:]) and np.all(ends <= state.used)
+    for pid, p in enumerate(state.pair_prio.tolist()):
+        lst = pps_index(state, pid)
+        ad, r = state.alpha_delta[pid], state.rank_norm[pid]
+        t = lst[hm[pid]][2] - ad if hm[pid] < ml[pid] else -INF
+        if ml[pid] < len(lst):
+            t = max(t, (lst[ml[pid]][2] - ad) / r)
+        assert state.reclass[pid] >= t - 1e-12
         if p == -INF:
             continue
         mu = state.next_scan(*divmod(pid, state.g.ell))
-        true_p = (state.alpha.fn(mu) - state.alpha_delta[pid]) / state.rank_norm[pid]
+        assert state.next_alpha[pid] == state.alpha.fn(mu)
+        true_p = (state.alpha.fn(mu) - ad) / r
         assert p >= true_p - 1e-12
-        assert max(queued.get(pid, -INF), waiting.get(pid, -INF)) >= p

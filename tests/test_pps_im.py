@@ -19,7 +19,9 @@ from distinf import (
 from distinf import pps_im
 from distinf.pps_im import PPSState, _scan_limits
 
-from bruteforce import bf_all_pairs, check_pps_state, pps_estimate_bf, random_graph, small_graphs
+from bruteforce import (
+    bf_all_pairs, check_pps_state, pps_estimate_bf, pps_index, random_graph, skewed_graph, small_graphs,
+)
 
 INF = math.inf
 
@@ -69,11 +71,12 @@ def test_resume_without_tau_change_is_noop():
     state = PPSState(g, make_harmonic(1), k=4, seed=0)
     for _ in range(4):
         state.lower_tau()
-    snap = [None if lst is None else list(lst) for lst in state.index]
+    pairs = range(g.n * g.ell)
+    snap = [pps_index(state, pid) for pid in pairs]
     est = state.est_h.copy()
     state.resume_sampling()
     assert est == pytest.approx(state.est_h)
-    assert snap == state.index
+    assert snap == [pps_index(state, pid) for pid in pairs]
 
 
 def test_tau_to_zero_recovers_exact_influence():
@@ -110,7 +113,7 @@ def test_sample_complete_at_every_pause():
                             continue
                         delta_c = alpha.fn(d) - ad
                         if delta_c > 0 and delta_c / r >= state.tau:
-                            lst = state.index[pid] or []
+                            lst = pps_index(state, pid)
                             pos = next(
                                 (p for p, e in enumerate(lst) if e[0] == u), None
                             )
@@ -137,33 +140,38 @@ def test_scan_limits_bound_the_pause_rule(alpha):
                 assert limit == (2.0 if admits(2.0) else 0.0)
 
 
-def test_pair_queued_twice_resumes_once():
-    # a pair with two valid queue entries is searched and scanned once; the
-    # queue starts empty, so the duplicate is of the first paused pair
+def test_pair_queued_twice_resumes_once(monkeypatch):
+    # a pair due twice at one tau (a second resume_sampling call) is searched
+    # and scanned once, and no search call holds a pair twice
+    rows = []
+    real = pps_im.reverse_balls
+    monkeypatch.setattr(pps_im, "reverse_balls",
+                        lambda g, inst, src, limit: rows.append(list(zip(src.tolist(), inst.tolist())))
+                        or real(g, inst, src, limit))
     g = random_graph(20, 3, seed=3, ell=2)
     states = [PPSState(g, make_harmonic(1), k=4, seed=0) for _ in range(2)]
-    for state in states:
-        while not state.q_pairs:
-            state.lower_tau()
-    heapq.heappush(states[1].q_pairs, states[1].q_pairs[0])
-    for _ in range(6):
+    for _ in range(8):
         for state in states:
             state.lower_tau()
+        states[1].resume_sampling()
+    assert rows and all(len(set(call)) == len(call) for call in rows)
     a, b = states
-    assert a.index == b.index and a.est_h == b.est_h and a.pair_prio == b.pair_prio
+    pairs = range(g.n * g.ell)
+    assert [pps_index(a, pid) for pid in pairs] == [pps_index(b, pid) for pid in pairs]
+    assert np.array_equal(a.est_h, b.est_h) and np.array_equal(a.pair_prio, b.pair_prio)
     assert (a.cursor_scans, a.pairs_searched, a.ball_entries) == (b.cursor_scans, b.pairs_searched, b.ball_entries)
 
 
 def test_resume_searches_due_pairs_in_priority_order(monkeypatch):
     # each resume_sampling call searches exactly the live pairs whose priority
-    # is at least tau, by (-priority, v, i), whether they wait in the rank-order
-    # stream (perhaps lowered by a commit) or in the pair queue
+    # is at least tau, by (-priority, v, i), whether they have not scanned
+    # their own node yet (perhaps lowered by a commit) or paused later
     searched = []
     real = pps_im.reverse_balls
     monkeypatch.setattr(pps_im, "reverse_balls",
                         lambda g, inst, src, limit: searched.append(list(zip(src.tolist(), inst.tolist())))
                         or real(g, inst, src, limit))
-    seen = {"lowered": 0, "terminated": 0, "queue ahead of stream": 0}
+    seen = {"lowered": 0, "terminated": 0, "paused ahead of unscanned": 0}
     rng = np.random.default_rng(3)
     for trial in range(6):
         g = random_graph(30, 3, seed=trial, ell=3)
@@ -173,13 +181,13 @@ def test_resume_searches_due_pairs_in_priority_order(monkeypatch):
 
         def resume():
             ell = g.ell
-            waiting = set(state.stream[state.stream_at:].tolist())
-            prio = list(state.pair_prio)
+            waiting = set(np.flatnonzero((state.length == 0) & (state.next_dist == 0)).tolist())
+            prio = state.pair_prio.tolist()
             want = sorted((-p, pid) for pid, p in enumerate(prio) if p > -INF and p >= state.tau)
             seen["lowered"] += sum(pid in waiting and -negp < alpha.alpha0 / state.rank_norm[pid] for negp, pid in want)
             seen["terminated"] += sum(pid in waiting and p == -INF for pid, p in enumerate(prio))
-            from_queue = [pid not in waiting for _, pid in want]
-            seen["queue ahead of stream"] += any(q and not later for q, later in zip(from_queue, from_queue[1:]))
+            paused = [pid not in waiting for _, pid in want]
+            seen["paused ahead of unscanned"] += any(q and not later for q, later in zip(paused, paused[1:]))
             searched.clear()
             real_resume()
             assert searched == ([[divmod(pid, ell) for _, pid in want]] if want else [])
@@ -242,10 +250,9 @@ def test_estimator_concentration_fixed_residual():
     assert abs(arr.mean() - total) <= 3 * arr.std(ddof=1) / math.sqrt(300)
 
 
-def test_state_at_init_under_170_bytes_per_pair():
-    # a heap of one (-p, v, i) tuple per pair held about 213 B per pair; flat
-    # per-pair lists and the stream's pid array hold about 130 (tracemalloc,
-    # CPython 3.11, 64-bit)
+def test_state_at_init_under_120_bytes_per_pair():
+    # numpy arrays by pid hold about 78 B per pair (tracemalloc, CPython 3.11,
+    # 64-bit); Python lists or a heap of tuples per pair held 130 to 213
     g = random_graph(1000, 4, seed=5, ell=16)
     alpha = make_exponential(10)
     PPSState(line_graph(), alpha, k=4)  # imports outside the measurement
@@ -256,7 +263,7 @@ def test_state_at_init_under_170_bytes_per_pair():
         per_pair = (tracemalloc.get_traced_memory()[0] - before) / (g.n * g.ell)
     finally:
         tracemalloc.stop()
-    assert per_pair < 170, per_pair
+    assert per_pair < 120, per_pair
 
 
 @st.composite
@@ -281,7 +288,7 @@ def _check_scans(state, dists):
     for i in range(state.g.ell):
         for v in range(state.g.n):
             order = sorted((d, u) for u, d in enumerate(dists[i][:, v]) if d < INF)
-            lst = state.index[v * state.g.ell + i] or []
+            lst = pps_index(state, v * state.g.ell + i)
             assert [u for u, _, _ in lst] == [u for _, u in order[: len(lst)]], (v, i)
             assert [d for _, d, _ in lst] == pytest.approx([d for d, _ in order[: len(lst)]], rel=1e-12)
             if state.pair_prio[v * state.g.ell + i] > -INF:
@@ -339,6 +346,43 @@ def test_run_marginals_telescope_to_exact_influence():
             assert sum(trace.marginals()[:s]) == pytest.approx(
                 influence_exact(g, trace.seeds()[:s], alpha), abs=1e-9
             )
+
+
+# Seeds, marginals and work counters of two small deterministic runs, to
+# 12 digits and exactly: a change to the state's layout must do the same work.
+_PINNED = {
+    None: (
+        [0, 2, 1, 13, 3, 5, 23, 32, 59, 52],
+        [5.29182876914665, 2.6661296984377607, 2.9124713696894977, 2.0182444812584657, 1.927454702551447,
+         1.5343727092950217, 1.5086741444578764, 1.5228625201259398, 1.3448290056652752, 1.262529069885357],
+        [5.453125, 3.7934830272564746, 2.9564479320254113, 2.0489730398307007, 1.914840914162654,
+         1.6410161310056137, 1.5028024693696593, 1.4692534305394673, 1.344574838970179, 1.3008197299348572],
+        {"cursor_scans": 451, "pairs_searched": 357, "ball_entries": 661, "delta_updates_total": 564},
+        0.17898257200459522,
+    ),
+    0.1: (
+        [0, 1, 3, 13, 5, 23, 32, 59, 52, 7],
+        [5.29182876914665, 3.130425607740273, 3.0839254980304895, 2.0215080614255543, 1.6394436690172371,
+         1.5512335831951933, 1.522870086252696, 1.3448290056652752, 1.2958819719946197, 1.148897510652963],
+        [5.453125, 3.230127616138879, 2.9214816647528647, 2.0507699637659274, 1.7605030481998925,
+         1.561411054203949, 1.4692534305394676, 1.344574838970179, 1.3008582435661848, 1.2358196786798135],
+        {"cursor_scans": 460, "pairs_searched": 364, "ball_entries": 685, "delta_updates_total": 556},
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("eps", [None, 0.1], ids=["fixed", "adaptive-0.1"])
+def test_small_runs_pin_outputs_and_work_counters(eps):
+    seeds, exact, estimated, counters, er = _PINNED[eps]
+    trace = run_pps_im(skewed_graph(60, 4, 1, 4), make_exponential(10), k=16, s_max=10, eps=eps, seed=0)
+    md = trace.metadata
+    assert trace.seeds() == seeds
+    assert trace.marginals() == pytest.approx(exact, rel=1e-12)
+    assert [e.estimated_marginal for e in trace.entries] == pytest.approx(estimated, rel=1e-12)
+    assert md["tau_schedule"] == [7.5 / 2**j for j in range(6)]
+    assert {key: md[key] for key in counters} == counters
+    assert md["er"] == pytest.approx(er, rel=1e-12)
 
 
 def test_adaptive_mode_rejects_overestimates():
