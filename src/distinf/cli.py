@@ -154,11 +154,12 @@ def cmd_greedy_exact(args) -> int:
 
 
 def _held_out_graph(args, m: int) -> MultiInstanceGraph:
-    """m held-out instances of the edge list, from an rng stream disjoint from training's."""
+    """m held-out instances of the edge list.  Their lengths are keyed at seed + 2**63, past
+    every --seed, so no run's held-out instances are any run's training instances."""
     if not getattr(args, "edges", None):
         raise ValueError("held-out evaluation needs --edges and --model")
     base = load_edge_list(args.edges, weighted=args.weighted)
-    return sample_instances(base, parse_model(args.model, args.seed + 1), m)
+    return sample_instances(base, parse_model(args.model, args.seed + 2**63), m)
 
 
 def _held_out_eval(args, seeds: list[int]) -> None:

@@ -1,7 +1,10 @@
 """Non-increasing decay functions mapping distance to utility.
 
-Every decay function satisfies eval(inf) == 0 and carries a support bound
-sup{x : eval(x) > 0} used to prune shortest-path searches.
+Every decay function is one numpy expression `fn` of the distance, which
+evaluates a float or a float64 array alike, so a scalar call and an array
+call of the same distance give the same float.  It satisfies fn(inf) == 0
+and carries a support bound sup{x : fn(x) > 0} used to prune shortest-path
+searches.
 """
 
 from __future__ import annotations
@@ -20,55 +23,39 @@ class DecayFunction:
     """A non-increasing map from distance in [0, inf] to utility in [0, alpha0]."""
 
     name: str
-    fn: Callable[[float], float]
-    array_fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray]
     support_bound: float
-    alpha0: float
 
     def __call__(self, d: float) -> float:
-        return self.fn(d)
+        return float(self.fn(d))
 
     def eval_array(self, d: np.ndarray) -> np.ndarray:
-        return self.array_fn(d)
+        return self.fn(np.asarray(d, dtype=np.float64))
+
+    @property
+    def alpha0(self) -> float:
+        return self(0.0)
 
 
 def make_threshold(T: float) -> DecayFunction:
     """1 within distance T inclusive, 0 beyond."""
     if not T > 0:
         raise ValueError("threshold must be positive")
-    return DecayFunction(
-        name=f"threshold:{T:g}",
-        fn=lambda d: 1.0 if d <= T else 0.0,
-        array_fn=lambda d: np.where(np.asarray(d) <= T, 1.0, 0.0),
-        support_bound=T,
-        alpha0=1.0,
-    )
+    return DecayFunction(f"threshold:{T:g}", lambda d: np.where(d <= T, 1.0, 0.0), T)
 
 
 def make_exponential(rate: float) -> DecayFunction:
     """exp(-rate * d)."""
     if not rate > 0:
         raise ValueError("rate must be positive")
-    return DecayFunction(
-        name=f"exp:{rate:g}",
-        fn=lambda d: math.exp(-rate * d) if d != INF else 0.0,
-        array_fn=lambda d: np.exp(-rate * np.asarray(d, dtype=np.float64)),
-        support_bound=INF,
-        alpha0=1.0,
-    )
+    return DecayFunction(f"exp:{rate:g}", lambda d: np.exp(-rate * d), INF)
 
 
 def make_harmonic(scale: float) -> DecayFunction:
     """1 / (scale * d + 1)."""
     if not scale > 0:
         raise ValueError("scale must be positive")
-    return DecayFunction(
-        name=f"harmonic:{scale:g}",
-        fn=lambda d: 1.0 / (scale * d + 1.0),
-        array_fn=lambda d: 1.0 / (scale * np.asarray(d, dtype=np.float64) + 1.0),
-        support_bound=INF,
-        alpha0=1.0,
-    )
+    return DecayFunction(f"harmonic:{scale:g}", lambda d: 1.0 / (scale * d + 1.0), INF)
 
 
 def parse_decay(spec: str) -> DecayFunction:

@@ -17,9 +17,10 @@ priorities.
 Reverse searches pause when the next contribution falls under r * tau and
 resume when tau has dropped enough; a pair whose next contribution cannot be
 positive is terminated for good.  A paused pair keeps only its next scan
-distance.  `resume_sampling` searches every due pair from its source with
-one `graph.reverse_balls` call, bounded where its pause rule must stop at the
-fixed tau, and each pair replays its ball past the nodes it has scanned.
+distance, and a commit evaluates the decay there again.  `resume_sampling`
+searches every due pair from its source with one `graph.reverse_balls` call,
+bounded where its pause rule must stop at the fixed tau, and each pair
+replays its ball past the nodes it has scanned.
 
 Pair (v, i) is the one integer pid = v * ell + i, which orders pairs as
 (v, i) does.  Every per-pair quantity is a numpy array indexed by pid, and
@@ -28,9 +29,10 @@ which each pair owns one segment.  A tau step, a resume and a seed commit
 each update all the pairs they concern with a few array operations: the due
 pairs and the pairs to promote are masks of the priority and
 reclassification arrays, visited in the order their queues would pop them,
-(-priority, pid) and (-tau, pid), so that every sum is formed in the same
-order and every float is bit for bit the same.  Only the candidate queue is
-a heap, pushed once per touched node per step.
+(-priority, pid) and (-tau, pid), so that every sum is formed in the order
+a pair-at-a-time loop would form it.  Decays are evaluated in bulk, by
+`alpha.eval_array` over all of a step's distances.  Only the candidate
+queue is a heap, pushed once per touched node per step.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def _scan_limits(alpha: DecayFunction, ad: np.ndarray, r: np.ndarray, tau: float
     """Per pair, a distance at least every d its pause rule admits at tau,
     alpha(d) - ad > 0 and (alpha(d) - ad) / r >= tau: the largest float64,
     inf included, at which `alpha.eval_array` raised by the slack clears the
-    rule.  The slack covers the ulp by which scalar `fn` may differ and the
-    rule's two roundings; it only costs ball entries.  Bisects bit patterns,
-    which order non-negative floats as int64s do; 0 counts as admitted."""
+    rule.  The slack covers the two roundings by which this test differs
+    from `resume_sampling`'s; it only costs ball entries.  Bisects bit
+    patterns, which order non-negative floats as int64s do; 0 counts as
+    admitted."""
     floor = ad + r * tau
     lo, hi = np.zeros(floor.size, np.int64), np.full(floor.size, INF).view(np.int64) + 1  # hi: past inf
     while np.any(hi - lo > 1):
@@ -86,9 +89,9 @@ class PPSState:
     count of H entries and `ml[pid]` the count of H plus M entries, so
     positions < hm are H, positions in [hm, ml) are M, and positions >= ml are
     L.  Entries with non-positive contribution are trimmed and never return.
-    A live pair (`pair_prio` > -inf) scans its next node at `next_dist`,
-    whose alpha is cached in `next_alpha`; `reclass` holds the tau at which
-    the pair's first entry changes class.
+    A live pair (`pair_prio` > -inf) scans its next node at `next_dist`;
+    `reclass` holds the tau at which the pair's first M or L entry changes
+    class.
     """
 
     def __init__(
@@ -121,7 +124,6 @@ class PPSState:
         self.est_h = np.zeros(n)
         self.est_m = np.zeros(n, np.int64)
         self.next_dist = np.zeros(cells)
-        self.next_alpha = np.full(cells, alpha.fn(0.0))
         self.start = np.zeros(cells, np.int64)
         self.length, self.hm, self.ml = (np.zeros(cells, np.int32) for _ in range(3))
         self.reclass = np.full(cells, -INF)
@@ -259,7 +261,7 @@ class PPSState:
         j, k = _spans(ext + 1)
         pos = np.minimum(start[:-1][j] + have[j] + k, node.size - 1)
         d = np.where(k == ext[j], past[j], dist[pos])
-        a_d = np.fromiter(map(self.alpha.fn, d.tolist()), np.float64, d.size)
+        a_d = self.alpha.eval_array(d)
         c = a_d - ad[j]
         p = c / r[j]
         hit = np.flatnonzero((c <= 0) | (p < tau))
@@ -270,7 +272,7 @@ class PPSState:
             raise RuntimeError(f"the scan limit of pair {(v, i)} cut off a distance its pause rule admits")
         paused = c[first] > 0  # the others are terminated for good; alpha(inf) = 0 covers an exhausted search
         prio[due] = np.where(paused, p[first], -INF)
-        self.next_dist[due[paused]], self.next_alpha[due[paused]] = d[first[paused]], a_d[first[paused]]
+        self.next_dist[due[paused]] = d[first[paused]]
         scans = first - offs
         s = k < scans[j]
         j, k, u, c, d, a_d = j[s], k[s], node[pos[s]], c[s], d[s], a_d[s]
@@ -346,12 +348,12 @@ class PPSState:
         g, tau, prio = self.g, self.tau, self.pair_prio
         inst, node, _, new = residual_update(g, self.delta, x, self.alpha.support_bound)
         cells = node * g.ell + inst
-        a_d = np.fromiter(map(self.alpha.fn, new.tolist()), np.float64, new.size)
+        a_d = self.alpha.eval_array(new)
         old = self.alpha_delta[cells]
         gains = np.cumsum(a_d - old)  # in sequence, as one running sum
         gain_total = float(gains[-1]) if gains.size else 0.0
         live = prio[cells] > -INF
-        new_p = (self.next_alpha[cells[live]] - a_d[live]) / self.rank_norm[cells[live]]
+        new_p = (self.alpha.eval_array(self.next_dist[cells[live]]) - a_d[live]) / self.rank_norm[cells[live]]
         prio[cells[live]] = np.where(new_p <= 0, -INF, new_p)  # terminated for good, or lowered
         has = self.length[cells] > 0
         pids, new_ad, old_ad = cells[has], a_d[has], old[has]
@@ -368,7 +370,7 @@ class PPSState:
         demoted = (k >= new_hm[j]) & kh & (k < new_ml[j])
         np.add.at(self.est_m, u, demoted.astype(np.int64) - ((k >= np.maximum(hm, new_ml)[j]) & (k < ml[j])))
         self.length[pids], self.hm[pids], self.ml[pids] = cut, new_hm, new_ml
-        self._reclass(pids, old_ad)  # an upper bound, as the pre-commit contributions were larger
+        self._reclass(pids, new_ad)
         self.alpha_delta[cells] = a_d
         self.delta[inst, node] = new
         self.delta_update_count += len(inst)

@@ -435,11 +435,9 @@ def estimate_influence(
             raise ValueError(f"seed {s} out of range [0, {len(sketches)})")
     first = sketches[seeds[0]]
     union, tau = _union([sketches[s] for s in seeds], first.k)
-    total, fn, norm = 0.0, alpha.fn, first.norm
-    for d, r_k in zip(union.dist.tolist(), tau):
-        if d > 0:
-            total += fn(d) / (r_k / norm)
-    return len(seeds) * alpha.alpha0 + total / first.ell
+    far = union.dist > 0
+    total = (alpha.eval_array(union.dist[far]) / (np.asarray(tau)[far] / first.norm)).sum()
+    return len(seeds) * alpha.alpha0 + float(total) / first.ell
 
 
 @dataclass

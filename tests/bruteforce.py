@@ -377,11 +377,11 @@ def rescan_pps_state(state):
 def check_pps_state(state):
     """Full-rescan consistency: incremental state must match a from-scratch
     reclassification; index segments must be disjoint and inside the written
-    part of the entry columns; every pair's reclassification tau must bound
-    the tau at which its first M or L entry changes class, so that a tau step
-    visits it; and the stored priority of every live pair (never started, or
-    paused at its stored next scan distance, whose cached alpha it holds) must
-    stay an upper bound."""
+    part of the entry columns; every pair's reclassification tau must be
+    exactly the tau at which its first M or L entry changes class, so that a
+    tau step visits it and visits no pair with nothing to promote; and the
+    stored priority of every live pair (never started, or paused at its
+    stored next scan distance) must stay an upper bound."""
     est_h, est_m, hm, ml = rescan_pps_state(state)
     assert hm == state.hm.tolist()
     assert ml == state.ml.tolist()
@@ -397,10 +397,9 @@ def check_pps_state(state):
         t = lst[hm[pid]][2] - ad if hm[pid] < ml[pid] else -INF
         if ml[pid] < len(lst):
             t = max(t, (lst[ml[pid]][2] - ad) / r)
-        assert state.reclass[pid] >= t - 1e-12
+        assert state.reclass[pid] == t
         if p == -INF:
             continue
         mu = state.next_scan(*divmod(pid, state.g.ell))
-        assert state.next_alpha[pid] == state.alpha.fn(mu)
-        true_p = (state.alpha.fn(mu) - ad) / r
+        true_p = (state.alpha(mu) - ad) / r
         assert p >= true_p - 1e-12

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -17,7 +18,8 @@ from distinf import (
     parse_decay,
     threshold_influence_estimate,
 )
-from distinf.cli import main
+from distinf.cli import _held_out_graph, main
+from distinf.graph import load_npz
 
 
 @pytest.fixture
@@ -95,6 +97,15 @@ def test_im_threshold_held_out_eval(edges_file, tmp_path):
     lines = open(eval_out).read().strip().split("\n")
     assert lines[0] == "prefix,influence,influence_pct"
     assert len(lines) == 5
+
+
+def test_held_out_instances_are_no_seeds_training_instances(edges_file, tmp_path):
+    # im --seed 0 on a cache made by gen --seed 1 evaluates on new instances
+    cache = str(tmp_path / "g.npz")
+    assert main(["gen", "--edges", edges_file, "--ell", "8", "--seed", "1", "--out", cache]) == 0
+    args = argparse.Namespace(edges=edges_file, weighted=False, model="exp:1", seed=0)
+    held = _held_out_graph(args, 8)
+    assert not np.any(held.weights == load_npz(cache).weights)
 
 
 def test_im_alpha_adaptive_mode(edges_file, tmp_path):

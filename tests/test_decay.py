@@ -53,11 +53,14 @@ def test_monotone_nonincreasing_fuzz():
 
 
 def test_array_eval_matches_scalar():
-    rng = np.random.default_rng(2)
-    d = rng.uniform(0, 3, size=50)
-    for fn in [make_threshold(1.0), make_exponential(2), make_harmonic(5)]:
-        arr = fn.eval_array(d)
-        assert arr == pytest.approx([fn(x) for x in d], abs=1e-15)
+    # one rule serves both entry points, so they agree to the bit, at 0, inf
+    # and either side of the threshold too
+    T = 1.0
+    edge = [0.0, np.nextafter(T, 0), T, np.nextafter(T, INF), 1e300, INF]
+    d = np.concatenate([edge, np.random.default_rng(2).uniform(0, 3, size=50)])
+    for fn in [make_threshold(T), make_exponential(2), make_harmonic(5)]:
+        assert fn.eval_array(d).tolist() == [fn(x) for x in d.tolist()]
+        assert fn.alpha0 == fn(0)
 
 
 def test_parse_decay_specs():
